@@ -21,9 +21,11 @@
 /// A second section measures parallel replay scaling: a large synthetic
 /// trace (default 10M events, `--scale-events N` overrides) replayed with
 /// one thread and with `--threads N` (default 8) workers through the /2
-/// shard index + site-sharded profile path. The threaded profile must be
-/// bit-identical to the serial one, and the serial/parallel wall-clock
-/// ratio feeds the trajectory as "replay_parallel_speedup".
+/// shard index + site-sharded profile path. The threaded replay's stride
+/// profile, invocation/processed/LFU counts, simulated cycles and event
+/// count must all equal the serial replay's, or the bench exits 1; the
+/// serial/parallel wall-clock ratio feeds the trajectory as
+/// "replay_parallel_speedup".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <utility>
 
 using namespace sprof;
 
@@ -209,8 +212,14 @@ int main(int Argc, char **Argv) {
   ScaleOpts.EvaluateWorkload = false;
   ScaleOpts.SimulateMemory = false;
   ScaleOpts.Method = Method;
+  // What serial and threaded replays must agree on, field by field.
+  struct Fidelity {
+    std::string Strides;
+    uint64_t Invocations = 0, Processed = 0, LfuCalls = 0, Cycles = 0,
+             Events = 0;
+  };
   double SerialBest = 0.0, ParallelBest = 0.0;
-  std::string SerialJson, ParallelJson;
+  Fidelity SerialOut, ParallelOut;
   for (const unsigned N : {1u, Threads}) {
     ScaleOpts.Threads = N;
     double Best = 0.0;
@@ -224,8 +233,13 @@ int main(int Argc, char **Argv) {
         return 1;
       }
       if (R == 0) {
-        std::string &Json = N == 1 ? SerialJson : ParallelJson;
-        Json = strideProfileToJson(Replay.Profile.Strides).str();
+        Fidelity &Out = N == 1 ? SerialOut : ParallelOut;
+        Out.Strides = strideProfileToJson(Replay.Profile.Strides).str();
+        Out.Invocations = Replay.Profile.StrideInvocations;
+        Out.Processed = Replay.Profile.StrideProcessed;
+        Out.LfuCalls = Replay.Profile.LfuCalls;
+        Out.Cycles = Replay.Profile.Stats.RuntimeCycles;
+        Out.Events = Replay.Events;
       }
       if (Best == 0.0 || Elapsed < Best)
         Best = Elapsed;
@@ -236,11 +250,25 @@ int main(int Argc, char **Argv) {
   }
   if (Threads == 1) {
     ParallelBest = SerialBest;
-    ParallelJson = SerialJson;
+    ParallelOut = SerialOut;
   }
   std::remove(ScalePath.c_str());
 
-  const bool ScaleIdentical = ParallelJson == SerialJson;
+  const std::pair<const char *, bool> Checks[] = {
+      {"stride profile", ParallelOut.Strides == SerialOut.Strides},
+      {"StrideInvocations", ParallelOut.Invocations == SerialOut.Invocations},
+      {"StrideProcessed", ParallelOut.Processed == SerialOut.Processed},
+      {"LfuCalls", ParallelOut.LfuCalls == SerialOut.LfuCalls},
+      {"Stats.RuntimeCycles", ParallelOut.Cycles == SerialOut.Cycles},
+      {"Events", ParallelOut.Events == SerialOut.Events},
+  };
+  bool ScaleIdentical = true;
+  for (const auto &[Field, Same] : Checks)
+    if (!Same) {
+      std::cerr << "error: parallel replay's " << Field
+                << " differs from serial on the scaling trace\n";
+      ScaleIdentical = false;
+    }
   const double Speedup =
       ParallelBest > 0.0 ? SerialBest / ParallelBest : 0.0;
 
@@ -252,11 +280,8 @@ int main(int Argc, char **Argv) {
          ScaleIdentical ? "bit-identical" : "DIVERGED"});
   S.print(std::cout);
 
-  if (!ScaleIdentical) {
-    std::cerr << "error: parallel replay diverged from serial on the "
-                 "scaling trace\n";
+  if (!ScaleIdentical)
     return 1;
-  }
 
   JsonValue Doc = JsonValue::object();
   Doc.set("replay_events_per_sec", AggregateEventsPerSec)

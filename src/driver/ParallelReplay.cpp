@@ -27,6 +27,28 @@ struct IndexedLoad {
   uint32_t SiteId;
 };
 
+/// One producer's loads, one column per profile shard. Each column holds
+/// the producer's loads of that shard's sites in program order.
+using ShardColumns = std::vector<std::vector<IndexedLoad>>;
+
+/// The bucketing step every producer shares: \p E, the \p LoadIndex'th
+/// load of the run, goes to the column of the shard owning its site.
+inline void bucketLoad(ShardColumns &Cols, const AccessEvent &E,
+                       uint64_t LoadIndex) {
+  Cols[E.SiteId % Cols.size()].push_back(
+      {E.Address, E.GlobalRefIndex, LoadIndex, E.SiteId});
+}
+
+/// The shard count actually used: 0 means one per thread (\p Threads >=
+/// 1), and no shard may be left without sites.
+unsigned clampShards(unsigned Threads, unsigned Shards, uint32_t NumSites) {
+  if (Shards == 0)
+    Shards = Threads;
+  if (NumSites != 0 && Shards > NumSites)
+    Shards = NumSites;
+  return std::max(1u, Shards);
+}
+
 /// What one profile shard produced; folded in job-id order.
 struct ShardRun {
   uint64_t Cycles = 0;
@@ -36,47 +58,18 @@ struct ShardRun {
   StrideProfile Strides;
 };
 
-} // namespace
-
-ShardedProfileResult profileEventsSharded(AccessSource &Src,
-                                          const StrideProfilerConfig &PC,
-                                          unsigned Threads, unsigned Shards,
-                                          ObsSession *Obs) {
+/// The profile fan-out and its fold, shared by every producer layout: the
+/// job for shard S walks column S of each producer in producer order --
+/// producers hold consecutive stretches of the run, so that is the
+/// shard's loads in program order -- through a private full-size
+/// profiler (sites index directly) against a private obs scope.
+ShardedProfileResult profileColumns(const std::vector<ShardColumns> &Producers,
+                                    uint32_t NumSites,
+                                    const StrideProfilerConfig &PC,
+                                    unsigned Threads, unsigned Shards,
+                                    ObsSession *Obs) {
   ShardedProfileResult R;
-  const uint32_t NumSites = Src.numSites();
-  if (Threads == 0)
-    Threads = 1;
-  if (Shards == 0)
-    Shards = Threads;
-  if (NumSites != 0 && Shards > NumSites)
-    Shards = NumSites;
-  if (Shards == 0)
-    Shards = 1;
   R.ShardsUsed = Shards;
-
-  // Serial bucketing pass: site-partition the loads, preserving per-site
-  // program order and each load's 0-based global position. A few ns per
-  // event -- negligible next to the parallelized decode and profile work.
-  std::vector<std::vector<IndexedLoad>> Buckets(Shards);
-  {
-    std::vector<AccessEvent> Buf(4096);
-    uint64_t LoadIndex = 0;
-    while (size_t N = Src.pull(Buf.data(), Buf.size())) {
-      for (size_t I = 0; I != N; ++I) {
-        const AccessEvent &E = Buf[I];
-        // strideProf only ever sees demand loads (see
-        // StrideProfiler::consume, whose filter this mirrors).
-        if (E.Kind != AccessKind::Load)
-          continue;
-        Buckets[E.SiteId % Shards].push_back(
-            {E.Address, E.GlobalRefIndex, LoadIndex, E.SiteId});
-        ++LoadIndex;
-      }
-    }
-  }
-
-  // One job per shard: a private full-size profiler (sites index directly)
-  // fed its sites' loads in order, against a private obs scope.
   const uint64_t SessionStartUs = Obs ? Obs->trace().nowUs() : 0;
   std::vector<ShardRun> Runs(Shards);
   std::vector<std::unique_ptr<ObsSession>> ShardObs(Shards);
@@ -92,9 +85,10 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
             StrideProfiler P(NumSites, PC);
             P.attachObs(Scope);
             ShardRun &Out = Runs[S];
-            for (const IndexedLoad &L : Buckets[S])
-              Out.Cycles +=
-                  P.profileAt(L.SiteId, L.Address, L.GlobalRef, L.LoadIndex);
+            for (const ShardColumns &Cols : Producers)
+              for (const IndexedLoad &L : Cols[S])
+                Out.Cycles +=
+                    P.profileAt(L.SiteId, L.Address, L.GlobalRef, L.LoadIndex);
             Out.Invocations = P.totalInvocations();
             Out.Processed = P.totalProcessed();
             Out.LfuCalls = P.totalLfuCalls();
@@ -148,109 +142,145 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
   return R;
 }
 
-bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
-                         unsigned Threads, std::vector<AccessEvent> &Events,
-                         std::string &Error, TraceError &Code) {
-  const TraceShardIndex &Idx = R.index();
-  assert(Idx.Present && "decodeTraceParallel needs an indexed reader");
-  Events.clear();
-  Events.resize(Idx.TotalEvents);
+/// Why a decode job failed; Failed stays false for a healthy range.
+struct DecodeFailure {
+  bool Failed = false;
+  std::string Msg;
+  TraceError Code = TraceError::None;
+};
+
+/// Where a decode job puts its events. window() names the buffer the next
+/// pull decodes into (at most \p Room events); load() sees every load of
+/// that batch with its global 0-based position.
+struct FlatOutput {
+  AccessEvent *Slot; ///< the range's precomputed slot of the flat buffer
+  AccessEvent *window(uint64_t Got, uint64_t Want, size_t &Room) {
+    Room = static_cast<size_t>(Want - Got);
+    return Slot + Got;
+  }
+  void load(const AccessEvent &, uint64_t) {}
+};
+
+struct BucketOutput {
+  ShardColumns &Cols;
+  std::vector<AccessEvent> Batch = std::vector<AccessEvent>(4096);
+  AccessEvent *window(uint64_t Got, uint64_t Want, size_t &Room) {
+    Room = static_cast<size_t>(std::min<uint64_t>(Batch.size(), Want - Got));
+    return Batch.data();
+  }
+  void load(const AccessEvent &E, uint64_t LoadIndex) {
+    bucketLoad(Cols, E, LoadIndex);
+  }
+};
+
+/// The decode job body: decodes chunks [First, First + N) of the indexed
+/// trace \p Path into \p Out, then cross-checks the range against the
+/// index -- byte boundary (via the shard reader), event count, and load
+/// count -- so a damaged range fails instead of leaking into a merge.
+template <typename Output>
+void decodeChunkRange(const std::string &Path, const TraceShardIndex &Idx,
+                      size_t First, size_t N, Output &Out, DecodeFailure &F) {
+  const size_t End = First + N;
+  const bool Last = End == Idx.numChunks();
+  const uint64_t Want =
+      (Last ? Idx.TotalEvents : Idx.Chunks[End].CumEvents) -
+      Idx.Chunks[First].CumEvents;
+  const uint64_t LoadBase = Idx.Chunks[First].CumLoads;
+  const uint64_t WantLoads =
+      (Last ? Idx.TotalLoads : Idx.Chunks[End].CumLoads) - LoadBase;
+  const std::string Range = Path + ": shard over chunks [" +
+                            std::to_string(First) + ", " +
+                            std::to_string(End) + ")";
+
+  auto SR = TraceReader::openShard(Path, Idx, First, N);
+  uint64_t Got = 0, Loads = 0;
+  while (Got < Want) {
+    size_t Room = 0;
+    AccessEvent *Win = Out.window(Got, Want, Room);
+    const size_t K = SR->pull(Win, Room);
+    if (K == 0)
+      break;
+    for (size_t I = 0; I != K; ++I)
+      if (Win[I].Kind == AccessKind::Load)
+        Out.load(Win[I], LoadBase + Loads++);
+    Got += K;
+  }
+  // One pull past the end drives the reader's byte-boundary cross-check
+  // (it fires on the pull after the last event).
+  AccessEvent Tail;
+  if (SR->ok() && SR->pull(&Tail, 1) != 0) {
+    F = {true, Range + " decoded more events than the index promised",
+         TraceError::Corrupt};
+    return;
+  }
+  if (!SR->ok()) {
+    F = {true, SR->error(), SR->errorCode()};
+    return;
+  }
+  if (Got != Want || !SR->atEnd()) {
+    F = {true,
+         Range + " decoded " + std::to_string(Got) +
+             " events, index promised " + std::to_string(Want),
+         TraceError::Corrupt};
+    return;
+  }
+  // Carried-state corruption that still lands on the right byte boundary
+  // shows up in the load count.
+  if (Loads != WantLoads)
+    F = {true,
+         Range + " decoded " + std::to_string(Loads) +
+             " loads, index promised " + std::to_string(WantLoads),
+         TraceError::Corrupt};
+}
+
+/// The decode fan-out's ranges: contiguous runs of PerJob chunks (the
+/// last holds the remainder), a few per worker so the pool load-balances
+/// when ranges decode at different speeds.
+struct DecodePlan {
+  size_t PerJob = 1;
+  size_t Jobs = 0;
+};
+
+DecodePlan planDecode(const TraceShardIndex &Idx, unsigned Threads) {
+  DecodePlan P;
   const size_t NumChunks = Idx.numChunks();
   if (NumChunks == 0)
-    return true;
-  if (Threads == 0)
-    Threads = 1;
+    return P;
+  const size_t Target =
+      std::min<size_t>(NumChunks, static_cast<size_t>(Threads) * 4);
+  P.PerJob = (NumChunks + Target - 1) / Target;
+  P.Jobs = (NumChunks + P.PerJob - 1) / P.PerJob;
+  return P;
+}
 
-  // Contiguous chunk ranges, a few per worker so the pool load-balances
-  // when ranges decode at different speeds.
-  const size_t NumJobs = std::min<size_t>(
-      NumChunks, std::max<size_t>(1, static_cast<size_t>(Threads) * 4));
-  const size_t PerJob = (NumChunks + NumJobs - 1) / NumJobs;
-
-  struct JobFailure {
-    bool Failed = false;
-    std::string Msg;
-    TraceError Code = TraceError::None;
-  };
-  std::vector<JobFailure> Failures((NumChunks + PerJob - 1) / PerJob);
-
+/// Runs \p Plan's decode jobs on \p Threads workers; \p Run(J, First, N,
+/// F) is job J's body over chunks [First, First + N). Returns false with
+/// the first failing range's error, in range order.
+template <typename RangeFn>
+bool runDecodeJobs(const TraceShardIndex &Idx, const DecodePlan &Plan,
+                   unsigned Threads, RangeFn Run, std::string &Error,
+                   TraceError &Code) {
+  const size_t NumChunks = Idx.numChunks();
+  std::vector<DecodeFailure> Failures(Plan.Jobs);
   JobGraph G;
-  size_t J = 0;
-  for (size_t First = 0; First < NumChunks; First += PerJob, ++J) {
-    const size_t N = std::min(PerJob, NumChunks - First);
+  for (size_t J = 0; J != Plan.Jobs; ++J) {
+    const size_t First = J * Plan.PerJob;
+    const size_t N = std::min(Plan.PerJob, NumChunks - First);
     G.add("decode-chunks-" + std::to_string(First) + "-" +
               std::to_string(First + N),
-          "replay-decode-job", [&, First, N, J](uint32_t) {
-            JobFailure &F = Failures[J];
-            auto SR = TraceReader::openShard(Path, Idx, First, N);
-            const uint64_t Base = Idx.Chunks[First].CumEvents;
-            const uint64_t Want =
-                (First + N < NumChunks ? Idx.Chunks[First + N].CumEvents
-                                       : Idx.TotalEvents) -
-                Base;
-            AccessEvent *Out = Events.data() + Base;
-            uint64_t Got = 0;
-            while (Got < Want) {
-              const size_t K = SR->pull(Out + Got, Want - Got);
-              if (K == 0)
-                break;
-              Got += K;
-            }
-            // One pull past the end drives the reader's byte-boundary
-            // cross-check (it fires on the pull after the last event).
-            AccessEvent Tail;
-            if (SR->ok() && SR->pull(&Tail, 1) != 0) {
-              F = {true,
-                   Path + ": shard over chunks [" + std::to_string(First) +
-                       ", " + std::to_string(First + N) +
-                       ") decoded more events than the index promised",
-                   TraceError::Corrupt};
-              return;
-            }
-            if (!SR->ok()) {
-              F = {true, SR->error(), SR->errorCode()};
-              return;
-            }
-            if (Got != Want || !SR->atEnd()) {
-              F = {true,
-                   Path + ": shard over chunks [" + std::to_string(First) +
-                       ", " + std::to_string(First + N) + ") decoded " +
-                       std::to_string(Got) + " events, index promised " +
-                       std::to_string(Want),
-                   TraceError::Corrupt};
-              return;
-            }
-            // Cross-check the index's load counts against the decode:
-            // carried-state corruption that still lands on the right byte
-            // boundary shows up here.
-            uint64_t Loads = 0;
-            for (uint64_t I = 0; I != Want; ++I)
-              if (Out[I].Kind == AccessKind::Load)
-                ++Loads;
-            const uint64_t WantLoads =
-                (First + N < NumChunks ? Idx.Chunks[First + N].CumLoads
-                                       : Idx.TotalLoads) -
-                Idx.Chunks[First].CumLoads;
-            if (Loads != WantLoads)
-              F = {true,
-                   Path + ": shard over chunks [" + std::to_string(First) +
-                       ", " + std::to_string(First + N) + ") decoded " +
-                       std::to_string(Loads) + " loads, index promised " +
-                       std::to_string(WantLoads),
-                   TraceError::Corrupt};
-          });
+          "replay-decode-job",
+          [&, J, First, N](uint32_t) { Run(J, First, N, Failures[J]); });
   }
   const std::vector<JobOutcome> Outcomes = G.run(Threads);
-
-  for (size_t I = 0; I != Failures.size(); ++I) {
-    if (Failures[I].Failed) {
-      Error = Failures[I].Msg;
-      Code = Failures[I].Code;
+  for (size_t J = 0; J != Plan.Jobs; ++J) {
+    if (Failures[J].Failed) {
+      Error = Failures[J].Msg;
+      Code = Failures[J].Code;
       return false;
     }
-    if (!Outcomes[I].Ok) {
-      Error = "decode job " + std::to_string(I) + " failed: " +
-              Outcomes[I].Error;
+    if (!Outcomes[J].Ok) {
+      Error = "decode job " + std::to_string(J) + " failed: " +
+              Outcomes[J].Error;
       Code = TraceError::Io;
       return false;
     }
@@ -258,58 +288,85 @@ bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
   return true;
 }
 
-TraceReplayResult replayTraceFileParallel(const std::string &Path,
-                                          const TraceReplayOptions &Opts) {
-  auto Reader = TraceReader::openFileIndexed(Path);
-  if (!Reader->ok()) {
-    TraceReplayResult R;
-    R.Source = Path;
-    R.Error = Reader->error();
-    R.ErrorCode = Reader->errorCode();
+} // namespace
+
+ProfileRunResult ShardedProfileResult::takeProfileRun(ProfilingMethod Method) {
+  ProfileRunResult P;
+  P.Method = Method;
+  P.Stats.RuntimeCycles = RuntimeCycles;
+  P.Stats.Cycles = RuntimeCycles;
+  P.Stats.Completed = Ok;
+  P.Strides = std::move(Strides);
+  P.StrideInvocations = Invocations;
+  P.StrideProcessed = Processed;
+  P.LfuCalls = LfuCalls;
+  return P;
+}
+
+ShardedProfileResult profileEventsSharded(AccessSource &Src,
+                                          const StrideProfilerConfig &PC,
+                                          unsigned Threads, unsigned Shards,
+                                          ObsSession *Obs) {
+  const uint32_t NumSites = Src.numSites();
+  Threads = std::max(1u, Threads);
+  Shards = clampShards(Threads, Shards, NumSites);
+
+  // A source has no index to fan out over, so it is bucketed by one
+  // serial producer: site-partitioned loads, each with its 0-based global
+  // position.
+  std::vector<ShardColumns> Producers(1, ShardColumns(Shards));
+  std::vector<AccessEvent> Buf(4096);
+  uint64_t LoadIndex = 0;
+  while (size_t N = Src.pull(Buf.data(), Buf.size()))
+    for (size_t I = 0; I != N; ++I)
+      // strideProf only ever sees demand loads (see
+      // StrideProfiler::consume, whose filter this mirrors).
+      if (Buf[I].Kind == AccessKind::Load)
+        bucketLoad(Producers[0], Buf[I], LoadIndex++);
+
+  return profileColumns(Producers, NumSites, PC, Threads, Shards, Obs);
+}
+
+ShardedProfileResult profileTraceSharded(const std::string &Path,
+                                         const TraceShardIndex &Idx,
+                                         const StrideProfilerConfig &PC,
+                                         unsigned Threads, unsigned Shards,
+                                         ObsSession *Obs) {
+  assert(Idx.Present && "profileTraceSharded needs a shard index");
+  Threads = std::max(1u, Threads);
+  Shards = clampShards(Threads, Shards, Idx.NumSites);
+
+  // Fused decode + bucket: each decode job fills its own row of columns,
+  // so no job shares a vector with another and no serial pass remains.
+  const DecodePlan Plan = planDecode(Idx, Threads);
+  std::vector<ShardColumns> Producers(Plan.Jobs, ShardColumns(Shards));
+  ShardedProfileResult R;
+  if (!runDecodeJobs(
+          Idx, Plan, Threads,
+          [&](size_t J, size_t First, size_t N, DecodeFailure &F) {
+            BucketOutput Out{Producers[J]};
+            decodeChunkRange(Path, Idx, First, N, Out, F);
+          },
+          R.Error, R.ErrorCode))
     return R;
-  }
+  return profileColumns(Producers, Idx.NumSites, PC, Threads, Shards, Obs);
+}
 
-  std::vector<AccessEvent> Events;
-  if (Reader->index().Present) {
-    std::string DecErr;
-    TraceError DecCode = TraceError::None;
-    if (!decodeTraceParallel(Path, *Reader, Opts.Threads, Events, DecErr,
-                             DecCode)) {
-      TraceReplayResult R;
-      R.Source = Path;
-      R.Error = DecErr;
-      R.ErrorCode = DecCode;
-      return R;
-    }
-  } else {
-    // /1 and text traces carry no index: serial decode on the already-open
-    // reader (positioned right after the header). The profile phase still
-    // shards across Opts.Threads.
-    std::vector<AccessEvent> Buf(4096);
-    while (size_t N = Reader->pull(Buf.data(), Buf.size()))
-      Events.insert(Events.end(), Buf.begin(), Buf.begin() + N);
-    if (!Reader->ok()) {
-      TraceReplayResult R;
-      R.Source = Path;
-      R.Error = Reader->error();
-      R.ErrorCode = Reader->errorCode();
-      return R;
-    }
-  }
-
-  TraceReplayOptions O = Opts;
-  if (!O.Method && !Reader->provenance().Method.empty()) {
-    ProfilingMethod M;
-    if (profilingMethodFromName(Reader->provenance().Method, M))
-      O.Method = M;
-  }
-
-  const uint64_t Total = Events.size();
-  VectorSource Src(std::move(Events), Reader->numSites(), Path);
-  TraceReplayResult R = replayStream(Src, O, Path, &Reader->edgeSection(),
-                                     &Reader->provenance());
-  R.Events = Total;
-  return R;
+bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
+                         unsigned Threads, std::vector<AccessEvent> &Events,
+                         std::string &Error, TraceError &Code) {
+  const TraceShardIndex &Idx = R.index();
+  assert(Idx.Present && "decodeTraceParallel needs an indexed reader");
+  Events.clear();
+  Events.resize(Idx.TotalEvents);
+  Threads = std::max(1u, Threads);
+  return runDecodeJobs(
+      Idx, planDecode(Idx, Threads), Threads,
+      [&](size_t, size_t First, size_t N, DecodeFailure &F) {
+        FlatOutput Out{Events.data() + Idx.Chunks[First].CumEvents};
+        decodeChunkRange(Path, Idx, First, N, Out, F);
+      },
+      Error, Code);
 }
 
 } // namespace sprof

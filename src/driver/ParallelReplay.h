@@ -7,28 +7,34 @@
 ///
 /// \file
 /// Parallel trace replay: decode and profile a captured access trace on N
-/// cores while staying bit-identical to the serial path. Two independent
-/// fan-outs, both scheduled as JobGraph jobs:
+/// cores while staying bit-identical to the serial path. Everything is
+/// scheduled as JobGraph jobs and rests on two facts:
 ///
-///   * Decode sharding (time partition). The sprof.trace/2 shard index
-///     records, every IndexInterval events, the chunk's byte offset and the
-///     carried delta-decoder state, so contiguous chunk ranges decode
-///     independently. decodeTraceParallel() fans the ranges out and writes
-///     each job's events into its precomputed slot of one flat buffer --
-///     the finished buffer is byte-for-byte the serial decode.
+///   * Chunks decode independently. The sprof.trace/2 shard index
+///     records, every IndexInterval events, the chunk's byte offset, the
+///     carried delta-decoder state, and the events and loads before it.
+///     A decode job owns a contiguous chunk range and knows the global
+///     position (LoadIndex) of every load it decodes.
 ///
-///   * Profile sharding (site partition). The global chunk-sampling phase
-///     of Figure 9 is a pure function of the load's position in the run
+///   * Profiling partitions by site. The global chunk-sampling phase of
+///     Figure 9 is a pure function of the load's position in the run
 ///     (StrideProfiler::profileAt), and every other piece of profiler
-///     state is strictly per-site. profileEventsSharded() therefore
-///     buckets the loads by SiteId modulo the shard count -- preserving
-///     per-site program order and each load's global position -- and runs
-///     one full-size StrideProfiler per shard. Per-site results are
-///     bit-identical to the serial profiler's, so folding the disjoint
-///     shards in job-id order (the ShardedMetricsRegistry discipline)
-///     through ProfileData's order-preserving merge reproduces the serial
-///     profile verbatim: same values, same bytes. The determinism contract
-///     is spelled out in docs/TRACE.md.
+///     state is strictly per-site. Loads are bucketed by SiteId modulo
+///     the shard count -- preserving per-site program order and each
+///     load's global position -- and one full-size StrideProfiler runs
+///     per shard. Per-site results are bit-identical to the serial
+///     profiler's, so folding the disjoint shards in job-id order (the
+///     ShardedMetricsRegistry discipline) through ProfileData's
+///     order-preserving merge reproduces the serial profile verbatim:
+///     same values, same bytes. docs/TRACE.md spells out the contract.
+///
+/// profileTraceSharded() fuses the two for an indexed trace file: each
+/// decode job buckets its loads straight into its own row of per-shard
+/// columns, then the job for shard S walks column S of every decode job
+/// in job order. No flat event vector and no serial pass exist on that
+/// path. profileEventsSharded() runs the same profile jobs and fold over
+/// any AccessSource, which it buckets serially (a source has no index);
+/// decodeTraceParallel() runs the same decode jobs into one flat buffer.
 ///
 /// Telemetry: each profile shard runs against a child ObsSession
 /// (ObsSession::jobConfig) whose registry is merged into the parent in
@@ -60,6 +66,13 @@ struct ShardedProfileResult {
   uint64_t LfuCalls = 0;
   StrideProfile Strides;
   unsigned ShardsUsed = 0;
+  /// Why a trace-file decode failed (profileTraceSharded only); None when
+  /// the failure, if any, was a profile job's.
+  TraceError ErrorCode = TraceError::None;
+
+  /// The profile phase as a \p Method run (Stats.Completed mirrors Ok);
+  /// moves Strides out.
+  ProfileRunResult takeProfileRun(ProfilingMethod Method);
 };
 
 /// Profiles \p Src's load events under \p PC with \p Threads workers over
@@ -75,6 +88,21 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
                                           unsigned Shards = 0,
                                           ObsSession *Obs = nullptr);
 
+/// Profiles the load events of the indexed trace \p Path (\p Idx is its
+/// shard index, from TraceReader::openFileIndexed) like
+/// profileEventsSharded, but fuses decode with bucketing: the chunk-range
+/// decode jobs of decodeTraceParallel fill per-shard columns directly,
+/// with each range's event, load, and byte-boundary counts cross-checked
+/// against the index. A damaged range fails the call with its TraceError
+/// in ErrorCode. The result is bit-identical to a serial
+/// StrideProfiler::consume() over the file.
+ShardedProfileResult profileTraceSharded(const std::string &Path,
+                                         const TraceShardIndex &Idx,
+                                         const StrideProfilerConfig &PC,
+                                         unsigned Threads,
+                                         unsigned Shards = 0,
+                                         ObsSession *Obs = nullptr);
+
 /// Decodes the indexed trace \p Path (whose reader \p R came from
 /// TraceReader::openFileIndexed with index().Present) into \p Events with
 /// \p Threads workers, one JobGraph job per contiguous chunk range. On
@@ -83,17 +111,6 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
 bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
                          unsigned Threads, std::vector<AccessEvent> &Events,
                          std::string &Error, TraceError &Code);
-
-/// replayTraceFile's parallel engine: opens \p Path through the seekable
-/// tail, decodes /2 traces with decodeTraceParallel (/1 and text traces
-/// fall back to serial decode -- they carry no index), then feeds
-/// replayStream, whose profile phase shards across Opts.Threads. The
-/// memory-simulation passes remain serial (cache state is order-dependent)
-/// and the whole result is bit-identical to Opts.Threads == 1.
-/// Callers normally go through replayTraceFile(), which dispatches here
-/// when Opts.Threads > 1.
-TraceReplayResult replayTraceFileParallel(const std::string &Path,
-                                          const TraceReplayOptions &Opts);
 
 } // namespace sprof
 

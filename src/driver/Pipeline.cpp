@@ -145,15 +145,8 @@ ProfileRunResult Pipeline::profileFromStream(AccessSource &Src,
     // results bit-identical to the serial branch below; per-shard metric
     // scopes fold into this session in job-id order.
     TraceSpan ES(Obs, "consume-stream-sharded", "profile", /*Level=*/1);
-    ShardedProfileResult SP = profileEventsSharded(Src, PC, Threads,
-                                                   /*Shards=*/0, Obs);
-    Result.Stats.RuntimeCycles = SP.RuntimeCycles;
-    Result.Stats.Cycles = SP.RuntimeCycles;
-    Result.Stats.Completed = SP.Ok;
-    Result.Strides = std::move(SP.Strides);
-    Result.StrideInvocations = SP.Invocations;
-    Result.StrideProcessed = SP.Processed;
-    Result.LfuCalls = SP.LfuCalls;
+    Result = profileEventsSharded(Src, PC, Threads, /*Shards=*/0, Obs)
+                 .takeProfileRun(Method);
   } else {
     StrideProfiler Profiler(Src.numSites(), PC);
     Profiler.attachObs(Obs);

@@ -82,72 +82,83 @@ StreamReplayStats replayWithSyntheticPrefetch(
   return S;
 }
 
-} // namespace
-
-TraceReplayResult replayStream(AccessSource &Src,
-                               const TraceReplayOptions &Opts,
-                               const std::string &SourceName,
-                               const TraceEdgeSection *Edges,
-                               const TraceProvenance *Prov) {
+/// A replay's identity: everything known before pass 1 runs.
+TraceReplayResult beginReplay(const TraceReplayOptions &Opts,
+                              const std::string &SourceName,
+                              const TraceProvenance *Prov,
+                              uint32_t NumSites) {
   TraceReplayResult R;
   R.Source = SourceName;
   if (Prov)
     R.Prov = *Prov;
-  R.NumSites = Src.numSites();
+  R.NumSites = NumSites;
   R.Method = Opts.Method.value_or(ProfilingMethod::EdgeCheck);
   R.Ok = true;
+  return R;
+}
 
-  // Workload resolution: a trace that names a workload we can rebuild
-  // gets the full live-pipeline evaluation (builds are deterministic, so
-  // this reproduces the capturing run's modules bit for bit).
-  std::unique_ptr<Workload> W;
-  if (Opts.EvaluateWorkload && !R.Prov.Workload.empty())
-    W = makeWorkloadByName(R.Prov.Workload);
+/// Workload resolution: a trace that names a workload we can rebuild gets
+/// the full live-pipeline evaluation (builds are deterministic, so this
+/// reproduces the capturing run's modules bit for bit).
+std::unique_ptr<Workload> replayWorkload(const TraceReplayOptions &Opts,
+                                         const TraceReplayResult &R) {
+  if (!Opts.EvaluateWorkload || R.Prov.Workload.empty())
+    return nullptr;
+  return makeWorkloadByName(R.Prov.Workload);
+}
 
-  // Pass 1 -- stream-driven profile phase.
+StrideProfilerConfig replayProfilerConfig(const TraceReplayOptions &Opts,
+                                          ProfilingMethod Method) {
+  StrideProfilerConfig PC = Opts.Config.Profiler;
+  PC.Sampling.Enabled = methodUsesSampling(Method);
+  return PC;
+}
+
+/// Moves a sharded profile phase into R.Profile; false (with R's error
+/// set) when a shard failed.
+bool takeShardedProfile(TraceReplayResult &R, ShardedProfileResult SP) {
+  R.Profile = SP.takeProfileRun(R.Method);
+  if (!SP.Ok) {
+    R.Ok = false;
+    R.Error = SP.Error;
+    R.ErrorCode = SP.ErrorCode;
+  }
+  return SP.Ok;
+}
+
+/// Pass 1 -- the profile phase, pulled from \p Src. False (with R's error
+/// set) when a profile shard failed.
+bool profileFromSource(TraceReplayResult &R, AccessSource &Src,
+                       const TraceReplayOptions &Opts, const Workload *W) {
   if (W) {
     Pipeline PL(*W, Opts.Config);
     R.Profile = PL.profileFromStream(Src, R.Method, Opts.Threads);
-  } else if (Opts.Threads > 1) {
+    return true;
+  }
+  const StrideProfilerConfig PC = replayProfilerConfig(Opts, R.Method);
+  if (Opts.Threads > 1)
     // Site-sharded parallel profile (driver/ParallelReplay.h);
     // bit-identical to the serial branch below.
-    StrideProfilerConfig PC = Opts.Config.Profiler;
-    PC.Sampling.Enabled = methodUsesSampling(R.Method);
-    ShardedProfileResult SP =
-        profileEventsSharded(Src, PC, Opts.Threads, Opts.ProfileShards);
-    R.Profile.Method = R.Method;
-    R.Profile.Stats.RuntimeCycles = SP.RuntimeCycles;
-    R.Profile.Stats.Cycles = SP.RuntimeCycles;
-    R.Profile.Stats.Completed = SP.Ok;
-    R.Profile.Strides = std::move(SP.Strides);
-    R.Profile.StrideInvocations = SP.Invocations;
-    R.Profile.StrideProcessed = SP.Processed;
-    R.Profile.LfuCalls = SP.LfuCalls;
-    if (!SP.Ok) {
-      R.Ok = false;
-      R.Error = SP.Error;
-      return R;
-    }
-  } else {
-    StrideProfilerConfig PC = Opts.Config.Profiler;
-    PC.Sampling.Enabled = methodUsesSampling(R.Method);
-    StrideProfiler P(Src.numSites(), PC);
-    R.Profile.Method = R.Method;
-    R.Profile.Stats.RuntimeCycles =
-        P.consume(Src, Opts.Config.Interp.StrideBatchWindow);
-    R.Profile.Stats.Cycles = R.Profile.Stats.RuntimeCycles;
-    R.Profile.Stats.Completed = true;
-    R.Profile.Strides = StrideProfile::fromProfiler(P);
-    R.Profile.StrideInvocations = P.totalInvocations();
-    R.Profile.StrideProcessed = P.totalProcessed();
-    R.Profile.LfuCalls = P.totalLfuCalls();
-  }
-  if (Edges && Edges->Present)
-    R.Profile.Edges = edgeProfileFromSection(*Edges);
-  // Loads the profiler saw; file replay overwrites with the decoded
-  // event count (which also includes prefetch-kind events).
-  R.Events = R.Profile.StrideInvocations;
+    return takeShardedProfile(R, profileEventsSharded(Src, PC, Opts.Threads,
+                                                      Opts.ProfileShards));
+  StrideProfiler P(Src.numSites(), PC);
+  R.Profile.Method = R.Method;
+  R.Profile.Stats.RuntimeCycles =
+      P.consume(Src, Opts.Config.Interp.StrideBatchWindow);
+  R.Profile.Stats.Cycles = R.Profile.Stats.RuntimeCycles;
+  R.Profile.Stats.Completed = true;
+  R.Profile.Strides = StrideProfile::fromProfiler(P);
+  R.Profile.StrideInvocations = P.totalInvocations();
+  R.Profile.StrideProcessed = P.totalProcessed();
+  R.Profile.LfuCalls = P.totalLfuCalls();
+  return true;
+}
 
+/// Everything after the profile phase: stream-only classification, the
+/// workload evaluation (when \p W is set), and the memory passes, which
+/// rewind \p Src (SimulateMemory; skipped when it cannot rewind).
+void evaluateReplay(TraceReplayResult &R, AccessSource &Src,
+                    const TraceReplayOptions &Opts, const Workload *W) {
   // Stream-only classification: every site, no frequency/trip filtering.
   R.SiteClass.resize(R.Profile.Strides.numSites(), StrideClass::None);
   for (uint32_t S = 0; S != R.Profile.Strides.numSites(); ++S)
@@ -199,31 +210,48 @@ TraceReplayResult replayStream(AccessSource &Src,
       R.HasMemSim = true;
     }
   }
+}
+
+/// A replay that failed reading its trace.
+TraceReplayResult readFailure(const std::string &Path,
+                              const TraceReader &Reader) {
+  TraceReplayResult R;
+  R.Source = Path;
+  R.Error = Reader.error();
+  R.ErrorCode = Reader.errorCode();
+  return R;
+}
+
+} // namespace
+
+TraceReplayResult replayStream(AccessSource &Src,
+                               const TraceReplayOptions &Opts,
+                               const std::string &SourceName,
+                               const TraceEdgeSection *Edges,
+                               const TraceProvenance *Prov) {
+  TraceReplayResult R = beginReplay(Opts, SourceName, Prov, Src.numSites());
+  const std::unique_ptr<Workload> W = replayWorkload(Opts, R);
+  if (!profileFromSource(R, Src, Opts, W.get()))
+    return R;
+  if (Edges && Edges->Present)
+    R.Profile.Edges = edgeProfileFromSection(*Edges);
+  // Loads the profiler saw; file replay counts decoded events instead
+  // (which also includes prefetch-kind events).
+  R.Events = R.Profile.StrideInvocations;
+  evaluateReplay(R, Src, Opts, W.get());
   return R;
 }
 
 TraceReplayResult replayTraceFile(const std::string &Path,
                                   const TraceReplayOptions &Opts) {
-  if (Opts.Threads > 1)
-    return replayTraceFileParallel(Path, Opts);
-
-  auto Reader = TraceReader::openFile(Path);
-
-  // Buffer the whole event stream up front: replay needs several passes,
-  // and the decode error surface (truncation, corruption) is cleanest
-  // reported before any profiling state exists.
-  std::vector<AccessEvent> Events;
-  std::vector<AccessEvent> Buf(4096);
-  while (size_t N = Reader->pull(Buf.data(), Buf.size()))
-    Events.insert(Events.end(), Buf.begin(), Buf.begin() + N);
-
-  if (!Reader->ok()) {
-    TraceReplayResult R;
-    R.Source = Path;
-    R.Error = Reader->error();
-    R.ErrorCode = Reader->errorCode();
-    return R;
-  }
+  // Threaded replay opens through the seekable tail, so a /2 trace's shard
+  // index is at hand; /1 and text traces come back positioned for a
+  // sequential decode either way.
+  const std::unique_ptr<TraceReader> Reader =
+      Opts.Threads > 1 ? TraceReader::openFileIndexed(Path)
+                       : TraceReader::openFile(Path);
+  if (!Reader->ok())
+    return readFailure(Path, *Reader);
 
   TraceReplayOptions O = Opts;
   if (!O.Method && !Reader->provenance().Method.empty()) {
@@ -231,12 +259,36 @@ TraceReplayResult replayTraceFile(const std::string &Path,
     if (profilingMethodFromName(Reader->provenance().Method, M))
       O.Method = M;
   }
+  TraceReplayResult R =
+      beginReplay(O, Path, &Reader->provenance(), Reader->numSites());
+  const std::unique_ptr<Workload> W = replayWorkload(O, R);
 
-  const uint64_t Total = Events.size();
-  VectorSource Src(std::move(Events), Reader->numSites(), Path);
-  TraceReplayResult R = replayStream(Src, O, Path, &Reader->edgeSection(),
-                                     &Reader->provenance());
-  R.Events = Total;
+  if (Reader->index().Present) {
+    // Fused decode + bucket over the shard index (driver/ParallelReplay.h);
+    // the reader itself serves only the memory passes below.
+    const TraceShardIndex &Idx = Reader->index();
+    if (!takeShardedProfile(
+            R, profileTraceSharded(Path, Idx,
+                                   replayProfilerConfig(O, R.Method),
+                                   O.Threads, O.ProfileShards)))
+      return R;
+    R.Events = Idx.TotalEvents;
+  } else {
+    // Pass 1 straight off the reader: no event is buffered, and a decode
+    // error stops the replay before any later pass runs.
+    if (!profileFromSource(R, *Reader, O, W.get()))
+      return R;
+    if (!Reader->ok())
+      return readFailure(Path, *Reader);
+    R.Events = Reader->eventCount();
+  }
+  // The edge section is valid once the footer is parsed; the memory
+  // passes' reset() drops it again.
+  if (Reader->edgeSection().Present)
+    R.Profile.Edges = edgeProfileFromSection(Reader->edgeSection());
+  evaluateReplay(R, *Reader, O, W.get());
+  if (!Reader->ok())
+    return readFailure(Path, *Reader);
   return R;
 }
 

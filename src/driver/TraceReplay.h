@@ -62,11 +62,14 @@ struct TraceReplayOptions {
   /// Prefetch distance (in strides) of the synthesized stream prefetches.
   unsigned StreamPrefetchDistance = 4;
   /// Worker threads for the replay. 1 (the default) is the fully serial
-  /// path; more fans the decode out over the trace's shard index (/2
-  /// traces) and the profile phase over site-sharded profilers
-  /// (driver/ParallelReplay.h), with results bit-identical to serial.
-  /// The memory-simulation passes always run serially (cache state is
-  /// order-dependent).
+  /// path: one reader feeds the profiler directly. More runs the profile
+  /// phase over site-sharded profilers (driver/ParallelReplay.h); on /2
+  /// trace files the decode fans out over the shard index too, each
+  /// decode job bucketing its loads straight into per-shard columns. /1
+  /// and text traces, and replayStream sources, are bucketed by one
+  /// serial pass instead. Results are bit-identical to serial. The
+  /// memory-simulation passes always run serially off a sequential reader
+  /// (cache state is order-dependent).
   unsigned Threads = 1;
   /// Site-shard count of the parallel profile phase; 0 means one shard
   /// per thread. The merged profile is identical for any value.

@@ -657,7 +657,14 @@ size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
     int64_t DSite, DAddr, DRef;
     if (!getZigzag(DSite) || !getZigzag(DAddr) || !getZigzag(DRef))
       return 0;
-    PrevSite = static_cast<uint32_t>(static_cast<int64_t>(PrevSite) + DSite);
+    PrevSite = static_cast<uint32_t>(PrevSite + static_cast<uint64_t>(DSite));
+    if (PrevSite >= Sites) {
+      // Every consumer indexes per-site state by SiteId.
+      fail(TraceError::Corrupt, "site id " + std::to_string(PrevSite) +
+                                    " out of range after event " +
+                                    std::to_string(DecodedEvents));
+      return 0;
+    }
     PrevAddr += static_cast<uint64_t>(DAddr);
     PrevRef += static_cast<uint64_t>(DRef);
     Buf[N].Address = PrevAddr;
@@ -934,6 +941,11 @@ bool TraceReader::parseTextLine(const std::string &Line, AccessEvent &E,
     if (std::sscanf(Line.c_str() + 2, "%llu %llu %llu", &Site, &Addr, &Ref) !=
         3) {
       fail(TraceError::Corrupt, "malformed event line: '" + Line + "'");
+      return false;
+    }
+    if (Site >= Sites) {
+      fail(TraceError::Corrupt, "site id " + std::to_string(Site) +
+                                    " out of range in '" + Line + "'");
       return false;
     }
     E.SiteId = static_cast<uint32_t>(Site);

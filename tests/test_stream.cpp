@@ -27,6 +27,7 @@
 #include "stream/InterpreterSource.h"
 #include "stream/SyntheticTrace.h"
 #include "stream/TraceFile.h"
+#include "support/Random.h"
 #include "workloads/TraceWorkload.h"
 #include "workloads/Workload.h"
 
@@ -36,9 +37,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace sprof;
@@ -397,6 +400,28 @@ TEST(TraceFile, CutStreamsAreTruncationErrors) {
     EXPECT_FALSE(R.ok());
     EXPECT_EQ(R.errorCode(), TraceError::Truncated);
     EXPECT_FALSE(R.atEnd());
+  }
+}
+
+// A site id at or past the header's site count would index past every
+// consumer's per-site tables; both encodings reject it as corruption.
+TEST(TraceFile, OutOfRangeSitesAreCorrupt) {
+  std::vector<AccessEvent> Events = patternEvents(50);
+  Events[30].SiteId = 9;
+  for (bool Text : {false, true}) {
+    SCOPED_TRACE(Text ? "text" : "binary");
+    std::stringstream SS;
+    {
+      TraceWriter W(SS, 5, {}, Text);
+      W.onBatch(Events.data(), Events.size());
+      W.finish();
+      ASSERT_TRUE(W.ok()) << W.error();
+    }
+    TraceReader R(SS);
+    ASSERT_TRUE(R.ok()) << R.error();
+    drainAll(R);
+    EXPECT_FALSE(R.ok());
+    EXPECT_EQ(R.errorCode(), TraceError::Corrupt);
   }
 }
 
@@ -1029,4 +1054,157 @@ TEST(TraceReplay, ProfileShardCountIsObservationallyInvisible) {
       expectSameReplay(Serial, R);
     }
   }
+}
+
+namespace {
+
+/// A stream with an uneven site mix: site 0 takes about half the events,
+/// sites 1-3 most of the rest, and 37 cold sites the remainder. Each site
+/// walks its own stride with an occasional jump, GlobalRefIndex advances
+/// by 1-3 per event, and about one event in 13 is a prefetch.
+std::vector<AccessEvent> skewedEvents(size_t N, uint32_t NumSites,
+                                      uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<uint64_t> Addr(NumSites);
+  for (uint32_t S = 0; S != NumSites; ++S)
+    Addr[S] = 0x10000000ull * (S + 1);
+  std::vector<AccessEvent> Events(N);
+  uint64_t Ref = 0;
+  for (AccessEvent &E : Events) {
+    const uint64_t Pick = R.below(100);
+    E.SiteId = Pick < 50   ? 0
+               : Pick < 85 ? static_cast<uint32_t>(1 + R.below(3))
+                           : static_cast<uint32_t>(4 + R.below(NumSites - 4));
+    Addr[E.SiteId] += R.below(16) == 0 ? R.below(4096) * 8
+                                       : 8 * (E.SiteId % 7 + 1);
+    E.Address = Addr[E.SiteId];
+    Ref += 1 + R.below(3);
+    E.GlobalRefIndex = Ref;
+    E.Kind = R.below(13) == 0 ? AccessKind::Prefetch : AccessKind::Load;
+  }
+  return Events;
+}
+
+/// Writes \p Events as an indexed /2 trace with \p IndexInterval-event
+/// chunks; returns the writer's event count (0 on failure).
+uint64_t writeIndexedTrace(const std::string &Path,
+                           const std::vector<AccessEvent> &Events,
+                           uint32_t NumSites, uint64_t IndexInterval) {
+  std::string Err;
+  auto W = TraceWriter::open(Path, NumSites, {}, /*Text=*/false, &Err,
+                             IndexInterval);
+  EXPECT_NE(W, nullptr) << Err;
+  if (!W)
+    return 0;
+  W->onBatch(Events.data(), Events.size());
+  W->finish();
+  EXPECT_TRUE(W->ok()) << W->error();
+  return W->ok() ? W->eventsWritten() : 0;
+}
+
+} // namespace
+
+// The fused decode + bucket path of an indexed file, differentially: many
+// small chunks (so every thread count gets several multi-chunk decode
+// jobs), an uneven site mix, and prefetch-kind events. Every thread and
+// shard count, on every method, with and without the memory passes,
+// replays identically to the serial reader and counts every written event.
+TEST(TraceReplay, FusedFileReplayMatchesSerialAcrossThreadsAndShards) {
+  constexpr uint32_t NumSites = 41;
+  const std::string Path = tmpPath("fused.sprof.trace");
+  const uint64_t Written = writeIndexedTrace(
+      Path, skewedEvents(12000, NumSites, 5), NumSites, /*IndexInterval=*/97);
+  ASSERT_EQ(Written, 12000u);
+  {
+    auto R = TraceReader::openFileIndexed(Path);
+    ASSERT_TRUE(R->ok()) << R->error();
+    ASSERT_TRUE(R->index().Present);
+    ASSERT_GT(R->index().numChunks(), 8u * 4u * 3u);
+  }
+
+  for (ProfilingMethod Method : allProfilingMethods()) {
+    SCOPED_TRACE(profilingMethodName(Method));
+    for (bool MemSim : {false, true}) {
+      SCOPED_TRACE(MemSim ? "memsim" : "profile-only");
+      TraceReplayOptions Opts;
+      Opts.Method = Method;
+      Opts.EvaluateWorkload = false;
+      Opts.SimulateMemory = MemSim;
+      const TraceReplayResult Serial = replayTraceFile(Path, Opts);
+      ASSERT_TRUE(Serial.Ok) << Serial.Error;
+      EXPECT_EQ(Serial.Events, Written);
+      EXPECT_EQ(Serial.HasMemSim, MemSim);
+      for (unsigned Threads : {1u, 2u, 4u, 8u})
+        for (unsigned Shards : {1u, 2u, 5u, 16u}) {
+          SCOPED_TRACE("threads " + std::to_string(Threads) + " shards " +
+                       std::to_string(Shards));
+          TraceReplayOptions O = Opts;
+          O.Threads = Threads;
+          O.ProfileShards = Shards;
+          const TraceReplayResult R = replayTraceFile(Path, O);
+          expectSameReplay(Serial, R);
+          EXPECT_EQ(R.Events, Written);
+        }
+    }
+  }
+  std::remove(Path.c_str());
+}
+
+// Damaged files through the replay entry point, serial and threaded: a
+// bad event tag or an out-of-range site in a middle chunk is Corrupt, a
+// cut file is Truncated, and none crashes or yields a profile. The site
+// damage keeps every byte boundary and load count the index promises, so
+// only the decoder's site check stands between it and the profilers'
+// per-site tables.
+TEST(TraceReplay, DamagedTraceFilesFailTheReplay) {
+  constexpr uint32_t NumSites = 41;
+  const std::string Path = tmpPath("damaged_replay.sprof.trace");
+  ASSERT_EQ(writeIndexedTrace(Path, skewedEvents(6000, NumSites, 9), NumSites,
+                              /*IndexInterval=*/100),
+            6000u);
+  uint64_t MidChunk = 0;
+  {
+    auto R = TraceReader::openFileIndexed(Path);
+    ASSERT_TRUE(R->ok()) << R->error();
+    const TraceShardIndex &Idx = R->index();
+    ASSERT_GT(Idx.numChunks(), 10u);
+    MidChunk = Idx.Chunks[Idx.numChunks() / 2].ByteOffset;
+  }
+  std::string Data;
+  {
+    std::ifstream F(Path, std::ios::binary);
+    Data.assign(std::istreambuf_iterator<char>(F), {});
+  }
+  auto WriteFile = [&](const std::string &Bytes) {
+    std::ofstream F(Path, std::ios::binary | std::ios::trunc);
+    F.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  };
+
+  std::string BadTag = Data;
+  BadTag[MidChunk] = static_cast<char>(BadTag[MidChunk] ^ 0x80);
+  // The byte after the tag is the one-byte zigzag site delta (|delta| <
+  // 41); 0x7e decodes to +63, past the last site.
+  std::string BadSite = Data;
+  ASSERT_LT(static_cast<uint8_t>(BadSite[MidChunk + 1]), 0x80);
+  BadSite[MidChunk + 1] = 0x7e;
+  const std::pair<const char *, std::pair<std::string, TraceError>> Cases[] =
+      {{"bad tag", {BadTag, TraceError::Corrupt}},
+       {"bad site", {BadSite, TraceError::Corrupt}},
+       {"cut", {Data.substr(0, Data.size() / 2), TraceError::Truncated}}};
+  for (const auto &[Name, Case] : Cases) {
+    SCOPED_TRACE(Name);
+    WriteFile(Case.first);
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads));
+      TraceReplayOptions Opts;
+      Opts.EvaluateWorkload = false;
+      Opts.Threads = Threads;
+      const TraceReplayResult R = replayTraceFile(Path, Opts);
+      EXPECT_FALSE(R.Ok);
+      EXPECT_EQ(R.ErrorCode, Case.second) << R.Error;
+      EXPECT_FALSE(R.Error.empty());
+      EXPECT_FALSE(R.HasMemSim);
+    }
+  }
+  std::remove(Path.c_str());
 }
