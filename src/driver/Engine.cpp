@@ -6,9 +6,13 @@
 
 #include "driver/Engine.h"
 
+#include "interp/ProgramCache.h"
 #include "obs/FlightRecorder.h"
 #include "obs/SelfProfiler.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -40,7 +44,84 @@ ExperimentEngine::ExperimentEngine(EngineOptions Opts)
   }
 }
 
+/// Results keyed by JobKey, with the workload's name added and the config
+/// replaced by its index among the distinct configs seen.
+struct ExperimentEngine::ResultMemo {
+  struct Key {
+    JobKind Kind;
+    /// The workload's address, as an integer so the map's ordering is
+    /// defined for unrelated objects.
+    uintptr_t W;
+    std::string Name;
+    DataSet DS;
+    ProfilingMethod Method;
+    bool WithMemorySystem;
+    ProfileSource Edges, Strides;
+    size_t Config;
+
+    auto operator<=>(const Key &) const = default;
+  };
+
+  /// ProgramCache::global().generation() when the memo was created.
+  uint64_t Generation = 0;
+  /// Distinct configs in first-seen order. A suite call uses one config,
+  /// so this stays a handful long.
+  std::vector<PipelineConfig> Configs;
+  std::map<Key, std::shared_ptr<const void>> Results;
+
+  /// Index of \p C in Configs; Configs.size() when absent.
+  size_t configIndex(const PipelineConfig &C) const {
+    return static_cast<size_t>(std::find(Configs.begin(), Configs.end(), C) -
+                               Configs.begin());
+  }
+
+  static Key key(const JobKey &K, size_t Config) {
+    return {K.Kind, reinterpret_cast<uintptr_t>(K.W), K.W->info().Name,
+            K.DS, K.Method, K.WithMemorySystem, K.Edges, K.Strides, Config};
+  }
+};
+
 ExperimentEngine::~ExperimentEngine() = default;
+
+std::shared_ptr<const void> ExperimentEngine::memoFind(const JobKey &K,
+                                                       bool AnyMemorySystem) {
+  if (Memo && Memo->Generation != ProgramCache::global().generation())
+    Memo.reset();
+  std::shared_ptr<const void> Found;
+  if (Memo) {
+    const size_t Config = Memo->configIndex(*K.Config);
+    if (Config != Memo->Configs.size()) {
+      ResultMemo::Key MK = ResultMemo::key(K, Config);
+      auto It = Memo->Results.find(MK);
+      if (It == Memo->Results.end() && AnyMemorySystem &&
+          K.Kind == JobKind::Profile) {
+        MK.WithMemorySystem = !MK.WithMemorySystem;
+        It = Memo->Results.find(MK);
+      }
+      if (It != Memo->Results.end())
+        Found = It->second;
+    }
+  }
+  if (Session && Session->config().CollectMetrics)
+    Session->registry()
+        .counter(Found ? "engine.memo_hits" : "engine.memo_misses")
+        .inc();
+  return Found;
+}
+
+void ExperimentEngine::memoRecord(const JobKey &K,
+                                  std::shared_ptr<const void> Result) {
+  const uint64_t Generation = ProgramCache::global().generation();
+  if (!Memo || Memo->Generation != Generation) {
+    Memo = std::make_unique<ResultMemo>();
+    Memo->Generation = Generation;
+  }
+  const size_t Config = Memo->configIndex(*K.Config);
+  if (Config == Memo->Configs.size())
+    Memo->Configs.push_back(*K.Config);
+  Memo->Results.insert_or_assign(ResultMemo::key(K, Config),
+                                 std::move(Result));
+}
 
 JobId ExperimentEngine::addJob(std::string Name, std::string Category,
                                JobFn Fn, std::vector<JobId> Deps) {

@@ -27,6 +27,10 @@
 /// (instrument → interpret → profile) plus dependent FeedbackJobs
 /// (classify → prefetch → timed run).
 ///
+/// The suite helpers also route their jobs through the engine's result
+/// memo (memoFind/memoRecord), so one engine runs each unique job once
+/// however many figures ask for it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_DRIVER_ENGINE_H
@@ -121,6 +125,39 @@ struct SweepResult {
                         uint64_t SeedOffset = 0) const;
 };
 
+/// What a memoized engine job computes. Each kind has one result type:
+/// RunStats (Baseline), ProfileRunResult (Profile), TimedRunResult
+/// (Feedback), and the Figure 18/19 population rows (Population).
+enum class JobKind : uint8_t { Baseline, Profile, Feedback, Population };
+
+/// A profile a feedback job reads its edges or strides from: a profile run
+/// of the feedback job's own workload and config. It carries no
+/// memory-system flag, because profiles do not depend on the memory
+/// system.
+struct ProfileSource {
+  DataSet DS = DataSet::Train;
+  ProfilingMethod Method = ProfilingMethod::EdgeOnly;
+
+  auto operator<=>(const ProfileSource &) const = default;
+};
+
+/// The content key of one engine job's result: jobs with equal keys
+/// compute equal results. The engine adds the workload's name to the key
+/// and compares Config by value.
+struct JobKey {
+  JobKind Kind = JobKind::Baseline;
+  const Workload *W = nullptr;
+  /// The run's input (Baseline, Profile, Feedback).
+  DataSet DS = DataSet::Ref;
+  ProfilingMethod Method = ProfilingMethod::EdgeOnly;
+  /// Profile jobs: whether the run simulated the memory system.
+  bool WithMemorySystem = true;
+  /// Feedback jobs: the profiles supplying the edges and the strides.
+  ProfileSource Edges, Strides;
+  /// Not owned; must outlive the memoFind/memoRecord call.
+  const PipelineConfig *Config = nullptr;
+};
+
 /// Schedules experiment jobs over a fixed-size thread pool. Reusable: each
 /// run() executes the jobs added since the previous run().
 class ExperimentEngine {
@@ -172,7 +209,25 @@ public:
   /// session config.
   bool writeArtifacts() const;
 
+  /// The result memo (docs/ENGINE.md "Result memo"): the result recorded
+  /// under \p K, or nullptr. With \p AnyMemorySystem a Profile key also
+  /// matches a run with the other memory-system flag; pass it only when
+  /// reading the profile's edges, strides and stride counters, which do
+  /// not depend on the memory system, never its cycle or Mem stats.
+  /// Counts engine.memo_hits / engine.memo_misses when telemetry is on.
+  ///
+  /// memoFind and memoRecord run on the caller's thread, outside run();
+  /// jobs never touch the memo. Every entry is dropped once
+  /// ProgramCache::global().clear() (the cold-start reset) has run.
+  std::shared_ptr<const void> memoFind(const JobKey &K,
+                                       bool AnyMemorySystem = false);
+
+  /// Records \p Result, of the type K.Kind names, under \p K.
+  void memoRecord(const JobKey &K, std::shared_ptr<const void> Result);
+
 private:
+  struct ResultMemo;
+
   EngineOptions Opts;
   std::unique_ptr<ObsSession> Session;
   std::unique_ptr<FlightRecorder> Recorder;
@@ -185,6 +240,8 @@ private:
   /// Preallocated in addJob so worker threads never resize the vector.
   std::vector<std::unique_ptr<ObsSession>> JobObs;
   std::vector<JobOutcome> Outcomes;
+  /// Allocated by the first memoRecord, so construction stays free.
+  std::unique_ptr<ResultMemo> Memo;
 };
 
 } // namespace sprof

@@ -15,15 +15,24 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <utility>
 
 using namespace sprof;
 
+namespace {
+
+/// Both loop populations of one workload. One naive-all reference profile
+/// classifies both, so one Population job serves Figures 18 and 19.
+struct PopulationRows {
+  PopulationRow OutLoop, InLoop;
+};
+
 /// classifyLoadPopulation body, parameterized over the telemetry scope so
 /// engine jobs can run it against their job session.
-static PopulationRow classifyPopulationImpl(const Workload &W,
-                                            bool InLoopWanted,
-                                            const PipelineConfig &Config,
-                                            ObsSession *Obs) {
+PopulationRows classifyPopulationImpl(const Workload &W,
+                                      const PipelineConfig &Config,
+                                      ObsSession *Obs) {
   Pipeline P(W, Config, Obs);
   // Naive-all profiles every load; run on the reference input so the
   // population weights match the performance runs.
@@ -43,34 +52,181 @@ static PopulationRow classifyPopulationImpl(const Workload &W,
         SiteInLoop[Site] = LI.isInLoop(Sites[Site].Block);
   }
 
-  PopulationRow Row;
-  Row.Bench = W.info().Name;
-  uint64_t Total = 0;
-  uint64_t ByClass[4] = {0, 0, 0, 0}; // None, SSST, PMST, WSST
-  for (uint32_t Site = 0; Site != Prog.M.NumLoadSites; ++Site) {
-    uint64_t Refs = PR.Stats.SiteCounts[Site];
-    Total += Refs;
-    if (SiteInLoop[Site] != InLoopWanted)
-      continue;
-    StrideClass C =
-        classifyStrideSummary(PR.Strides.site(Site), Config.Classifier);
-    ByClass[static_cast<unsigned>(C)] += Refs;
+  PopulationRows Rows;
+  for (bool InLoopWanted : {false, true}) {
+    PopulationRow &Row = InLoopWanted ? Rows.InLoop : Rows.OutLoop;
+    Row.Bench = W.info().Name;
+    uint64_t Total = 0;
+    uint64_t ByClass[4] = {0, 0, 0, 0}; // None, SSST, PMST, WSST
+    for (uint32_t Site = 0; Site != Prog.M.NumLoadSites; ++Site) {
+      uint64_t Refs = PR.Stats.SiteCounts[Site];
+      Total += Refs;
+      if (SiteInLoop[Site] != InLoopWanted)
+        continue;
+      StrideClass C =
+          classifyStrideSummary(PR.Strides.site(Site), Config.Classifier);
+      ByClass[static_cast<unsigned>(C)] += Refs;
+    }
+    Row.NonePct = percent(static_cast<double>(ByClass[0]),
+                          static_cast<double>(Total));
+    Row.SsstPct = percent(static_cast<double>(ByClass[1]),
+                          static_cast<double>(Total));
+    Row.PmstPct = percent(static_cast<double>(ByClass[2]),
+                          static_cast<double>(Total));
+    Row.WsstPct = percent(static_cast<double>(ByClass[3]),
+                          static_cast<double>(Total));
   }
-  Row.NonePct = percent(static_cast<double>(ByClass[0]),
-                        static_cast<double>(Total));
-  Row.SsstPct = percent(static_cast<double>(ByClass[1]),
-                        static_cast<double>(Total));
-  Row.PmstPct = percent(static_cast<double>(ByClass[2]),
-                        static_cast<double>(Total));
-  Row.WsstPct = percent(static_cast<double>(ByClass[3]),
-                        static_cast<double>(Total));
-  return Row;
+  return Rows;
 }
+
+/// One suite call's jobs, routed through the engine's result memo
+/// (docs/ENGINE.md "Result memo"). A job whose result the memo holds is
+/// not scheduled; its result is shared from the memo. Memo reads happen
+/// as jobs are requested and writes in run(), both on the caller's
+/// thread; a running job only fills its own result slot.
+class SuiteJobs {
+public:
+  /// A requested job: its key, its result (complete once run() returns),
+  /// and the engine job dependents must wait on (empty on a memo hit).
+  template <class T> struct Job {
+    JobKey Key;
+    std::shared_ptr<const T> Result;
+    std::vector<JobId> Ids;
+  };
+  using ProfileJob = Job<ProfileRunResult>;
+
+  SuiteJobs(ExperimentEngine &Engine, const PipelineConfig &Config)
+      : Engine(Engine), Config(Config),
+        // Capture writes a trace file per profile run, a side effect a
+        // memo hit would skip.
+        UseMemo(Config.TraceCapturePath.empty()) {}
+
+  Job<RunStats> baseline(const Workload &W, DataSet DS) {
+    JobKey K = key(JobKind::Baseline, W, DS);
+    return get<RunStats>(
+        K, /*AnyMemorySystem=*/false,
+        "baseline:" + W.info().Name + "/" + dataSetName(DS), "baseline-job",
+        [&W, &C = Config, DS](ObsSession *JobObs) {
+          return Pipeline(W, C, JobObs).runBaseline(DS);
+        });
+  }
+
+  /// \p ProfileOnly: the caller reads only the profile (edges, strides,
+  /// stride counters), not the run's stats, so a memoized run with either
+  /// memory-system flag serves.
+  ProfileJob profile(const Workload &W, ProfilingMethod M, DataSet DS,
+                     bool WithMemorySystem, bool ProfileOnly = false) {
+    JobKey K = key(JobKind::Profile, W, DS);
+    K.Method = M;
+    K.WithMemorySystem = WithMemorySystem;
+    return get<ProfileRunResult>(
+        K, ProfileOnly,
+        "profile:" + W.info().Name + "/" + profilingMethodName(M) + "/" +
+            dataSetName(DS),
+        "run-job",
+        [&W, &C = Config, M, DS, WithMemorySystem](ObsSession *JobObs) {
+          return Pipeline(W, C, JobObs).runProfile(M, DS, WithMemorySystem);
+        });
+  }
+
+  /// A timed reference run prefetched from \p Edges' edge profile and
+  /// \p Strides' stride profile. \p Tag names the engine job.
+  Job<TimedRunResult> feedback(const Workload &W, const std::string &Tag,
+                               const ProfileJob &Edges,
+                               const ProfileJob &Strides) {
+    JobKey K = key(JobKind::Feedback, W, DataSet::Ref);
+    K.Edges = {Edges.Key.DS, Edges.Key.Method};
+    K.Strides = {Strides.Key.DS, Strides.Key.Method};
+    std::vector<JobId> Deps = Edges.Ids;
+    if (Strides.Ids != Edges.Ids)
+      Deps.insert(Deps.end(), Strides.Ids.begin(), Strides.Ids.end());
+    return get<TimedRunResult>(
+        K, /*AnyMemorySystem=*/false, "feedback:" + Tag, "feedback-job",
+        [&W, &C = Config, E = Edges.Result,
+         S = Strides.Result](ObsSession *JobObs) {
+          return Pipeline(W, C, JobObs).runPrefetched(DataSet::Ref, E->Edges,
+                                                      S->Strides);
+        },
+        std::move(Deps));
+  }
+
+  Job<PopulationRows> population(const Workload &W) {
+    JobKey K = key(JobKind::Population, W, DataSet::Ref);
+    K.Method = ProfilingMethod::NaiveAll;
+    K.WithMemorySystem = false;
+    return get<PopulationRows>(K, /*AnyMemorySystem=*/false,
+                               "classify:" + W.info().Name, "run-job",
+                               [&W, &C = Config](ObsSession *JobObs) {
+                                 return classifyPopulationImpl(W, C, JobObs);
+                               });
+  }
+
+  /// Runs the scheduled jobs and records each one that finished Ok, also
+  /// when run() rethrows a failure.
+  void run() {
+    try {
+      Engine.run();
+    } catch (...) {
+      record();
+      throw;
+    }
+    record();
+  }
+
+private:
+  struct PendingJob {
+    JobKey Key;
+    JobId Id;
+    std::shared_ptr<const void> Result;
+  };
+
+  JobKey key(JobKind Kind, const Workload &W, DataSet DS) const {
+    JobKey K;
+    K.Kind = Kind;
+    K.W = &W;
+    K.DS = DS;
+    K.Config = &Config;
+    return K;
+  }
+
+  template <class T, class Fn>
+  Job<T> get(const JobKey &K, bool AnyMemorySystem, std::string Name,
+             const char *Category, Fn Body, std::vector<JobId> Deps = {}) {
+    if (UseMemo)
+      if (std::shared_ptr<const void> Hit = Engine.memoFind(K, AnyMemorySystem))
+        return {K, std::static_pointer_cast<const T>(std::move(Hit)), {}};
+    auto Out = std::make_shared<T>();
+    JobId Id = Engine.addJob(
+        std::move(Name), Category,
+        [Out, Body = std::move(Body)](ObsSession *JobObs) {
+          *Out = Body(JobObs);
+        },
+        std::move(Deps));
+    if (UseMemo)
+      Pending.push_back({K, Id, Out});
+    return {K, Out, {Id}};
+  }
+
+  void record() {
+    const std::vector<JobOutcome> &Outcomes = Engine.lastOutcomes();
+    for (const PendingJob &S : Pending)
+      if (S.Id < Outcomes.size() && Outcomes[S.Id].Ok)
+        Engine.memoRecord(S.Key, S.Result);
+  }
+
+  ExperimentEngine &Engine;
+  const PipelineConfig &Config;
+  const bool UseMemo;
+  std::vector<PendingJob> Pending;
+};
+
+} // namespace
 
 PopulationRow sprof::classifyLoadPopulation(const Workload &W,
                                             bool InLoopWanted,
                                             const PipelineConfig &Config) {
-  return classifyPopulationImpl(W, InLoopWanted, Config, /*Obs=*/nullptr);
+  PopulationRows Rows = classifyPopulationImpl(W, Config, /*Obs=*/nullptr);
+  return InLoopWanted ? Rows.InLoop : Rows.OutLoop;
 }
 
 std::vector<const Workload *> sprof::workloadPointers(
@@ -87,75 +243,57 @@ sprof::measureSuite(ExperimentEngine &Engine,
                     const std::vector<const Workload *> &Workloads,
                     const PipelineConfig &Config,
                     const std::vector<ProfilingMethod> &Methods) {
-  std::vector<BenchMeasurement> Results(Workloads.size());
-  // Profiles flow from each RunJob to its FeedbackJob through these
-  // preallocated slots; nothing is shared between (workload, method)
-  // pairs.
-  std::vector<ProfileRunResult> Profiles(Workloads.size() * Methods.size());
-
+  SuiteJobs Jobs(Engine, Config);
+  struct Row {
+    SuiteJobs::Job<RunStats> BaselineRef;
+    SuiteJobs::ProfileJob EdgeOnlyTrain;
+    /// Per method: the train profile and the prefetched ref run it feeds.
+    std::vector<std::pair<SuiteJobs::ProfileJob,
+                          SuiteJobs::Job<TimedRunResult>>> Methods;
+  };
+  std::vector<Row> Rows(Workloads.size());
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
-    const Workload *W = Workloads[WI];
-    BenchMeasurement &BM = Results[WI];
-    BM.Name = W->info().Name;
-    // Populate the method map up front: jobs then write through stable
-    // references without mutating the map concurrently.
-    for (ProfilingMethod M : Methods)
-      BM.Methods.emplace(M, MethodMeasurement{});
-
-    Engine.addJob("baseline:" + BM.Name + "/ref", "baseline-job",
-                  [W, &Config, &BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
-                    BM.BaselineRefCycles =
-                        P.runBaseline(DataSet::Ref).Cycles;
-                  });
-    Engine.addJob("profile:" + BM.Name + "/edge-only/train", "run-job",
-                  [W, &Config, &BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
-                    BM.EdgeOnlyTrainCycles =
-                        P.runProfile(ProfilingMethod::EdgeOnly,
-                                     DataSet::Train)
-                            .Stats.Cycles;
-                  });
-
-    for (size_t MI = 0; MI != Methods.size(); ++MI) {
-      ProfilingMethod M = Methods[MI];
-      MethodMeasurement *MM = &BM.Methods.at(M);
-      ProfileRunResult *PR = &Profiles[WI * Methods.size() + MI];
+    const Workload &W = *Workloads[WI];
+    Row &R = Rows[WI];
+    R.BaselineRef = Jobs.baseline(W, DataSet::Ref);
+    R.EdgeOnlyTrain = Jobs.profile(W, ProfilingMethod::EdgeOnly,
+                                   DataSet::Train, /*WithMemorySystem=*/true);
+    for (ProfilingMethod M : Methods) {
+      SuiteJobs::ProfileJob Profile =
+          Jobs.profile(W, M, DataSet::Train, /*WithMemorySystem=*/true);
       std::string Tag =
-          BM.Name + "/" + profilingMethodName(M) + "/train";
-
-      JobId Run = Engine.addJob(
-          "profile:" + Tag, "run-job",
-          [W, &Config, M, MM, PR](ObsSession *JobObs) {
-            Pipeline P(*W, Config, JobObs);
-            *PR = P.runProfile(M, DataSet::Train);
-            MM->ProfiledCycles = PR->Stats.Cycles;
-            MM->StrideInvocations = PR->StrideInvocations;
-            MM->StrideProcessed = PR->StrideProcessed;
-            MM->LfuCalls = PR->LfuCalls;
-            MM->TrainLoadRefs = PR->Stats.LoadRefs;
-          });
-      Engine.addJob(
-          "feedback:" + Tag, "feedback-job",
-          [W, &Config, MM, PR](ObsSession *JobObs) {
-            Pipeline P(*W, Config, JobObs);
-            TimedRunResult TR =
-                P.runPrefetched(DataSet::Ref, PR->Edges, PR->Strides);
-            MM->Prefetches = TR.Prefetches;
-            MM->PrefetchedRefCycles = TR.Stats.Cycles;
-            MM->RefMemory = TR.Stats.Mem;
-          },
-          {Run});
+          W.info().Name + "/" + profilingMethodName(M) + "/train";
+      R.Methods.emplace_back(Profile,
+                             Jobs.feedback(W, Tag, Profile, Profile));
     }
   }
 
-  Engine.run();
+  Jobs.run();
 
-  for (BenchMeasurement &BM : Results)
-    for (auto &[M, MM] : BM.Methods)
+  std::vector<BenchMeasurement> Results(Workloads.size());
+  for (size_t WI = 0; WI != Workloads.size(); ++WI) {
+    const Row &R = Rows[WI];
+    BenchMeasurement &BM = Results[WI];
+    BM.Name = Workloads[WI]->info().Name;
+    BM.BaselineRefCycles = R.BaselineRef.Result->Cycles;
+    BM.EdgeOnlyTrainCycles = R.EdgeOnlyTrain.Result->Stats.Cycles;
+    for (size_t MI = 0; MI != Methods.size(); ++MI) {
+      const ProfileRunResult &PR = *R.Methods[MI].first.Result;
+      const TimedRunResult &TR = *R.Methods[MI].second.Result;
+      MethodMeasurement &MM = BM.Methods[Methods[MI]];
+      MM.ProfiledCycles = PR.Stats.Cycles;
+      MM.StrideInvocations = PR.StrideInvocations;
+      MM.StrideProcessed = PR.StrideProcessed;
+      MM.LfuCalls = PR.LfuCalls;
+      MM.TrainLoadRefs = PR.Stats.LoadRefs;
+      MM.Prefetches = TR.Prefetches;
+      MM.PrefetchedRefCycles = TR.Stats.Cycles;
+      MM.RefMemory = TR.Stats.Mem;
       if (MM.PrefetchedRefCycles != 0)
         MM.Speedup = static_cast<double>(BM.BaselineRefCycles) /
                      static_cast<double>(MM.PrefetchedRefCycles);
+    }
+  }
   return Results;
 }
 
@@ -169,102 +307,71 @@ sprof::measureBenchmark(const Workload &W, const PipelineConfig &Config,
 std::vector<PopulationRow> sprof::classifySuitePopulation(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     bool InLoopWanted, const PipelineConfig &Config) {
-  std::vector<PopulationRow> Results(Workloads.size());
-  for (size_t WI = 0; WI != Workloads.size(); ++WI) {
-    const Workload *W = Workloads[WI];
-    PopulationRow *Row = &Results[WI];
-    Engine.addJob("classify:" + W->info().Name, "run-job",
-                  [W, InLoopWanted, &Config, Row](ObsSession *JobObs) {
-                    *Row = classifyPopulationImpl(*W, InLoopWanted, Config,
-                                                  JobObs);
-                  });
-  }
-  Engine.run();
+  SuiteJobs Jobs(Engine, Config);
+  std::vector<SuiteJobs::Job<PopulationRows>> Rows;
+  Rows.reserve(Workloads.size());
+  for (const Workload *W : Workloads)
+    Rows.push_back(Jobs.population(*W));
+
+  Jobs.run();
+
+  std::vector<PopulationRow> Results;
+  Results.reserve(Workloads.size());
+  for (const SuiteJobs::Job<PopulationRows> &R : Rows)
+    Results.push_back(InLoopWanted ? R.Result->InLoop : R.Result->OutLoop);
   return Results;
 }
 
 std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config) {
-  std::vector<SensitivityMeasurement> Results(Workloads.size());
-  struct Slot {
-    ProfileRunResult Train, Ref;
-    uint64_t BaseCycles = 0;
-    uint64_t Cycles[4] = {0, 0, 0, 0}; ///< train, ref, er-st, et-sr
+  SuiteJobs Jobs(Engine, Config);
+  struct Row {
+    SuiteJobs::Job<RunStats> BaselineRef;
+    /// The Figure 23-25 binaries: train, ref, er-st, et-sr.
+    std::vector<SuiteJobs::Job<TimedRunResult>> Combos;
   };
-  std::vector<Slot> Slots(Workloads.size());
-
+  std::vector<Row> Rows(Workloads.size());
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
-    const Workload *W = Workloads[WI];
-    const std::string Name = W->info().Name;
-    Results[WI].Name = Name;
-    Slot *S = &Slots[WI];
-
-    Engine.addJob("baseline:" + Name + "/ref", "baseline-job",
-                  [W, &Config, S](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
-                    S->BaseCycles = P.runBaseline(DataSet::Ref).Cycles;
-                  });
-    JobId TrainJob = Engine.addJob(
-        "profile:" + Name + "/sample-edge-check/train", "run-job",
-        [W, &Config, S](ObsSession *JobObs) {
-          Pipeline P(*W, Config, JobObs);
-          S->Train = P.runProfile(ProfilingMethod::SampleEdgeCheck,
-                                  DataSet::Train,
-                                  /*WithMemorySystem=*/false);
-        });
-    JobId RefJob = Engine.addJob(
-        "profile:" + Name + "/sample-edge-check/ref", "run-job",
-        [W, &Config, S](ObsSession *JobObs) {
-          Pipeline P(*W, Config, JobObs);
-          S->Ref = P.runProfile(ProfilingMethod::SampleEdgeCheck,
-                                DataSet::Ref,
-                                /*WithMemorySystem=*/false);
-        });
-
-    // The four Figure 23-25 binaries: every edge × stride profile pairing,
-    // each timed on the reference input.
-    struct Combo {
-      const char *Tag;
-      bool EdgeFromTrain, StrideFromTrain;
-      std::vector<JobId> Deps;
-    };
-    const Combo Combos[4] = {
-        {"train", true, true, {TrainJob}},
-        {"ref", false, false, {RefJob}},
-        {"edge-ref.stride-train", false, true, {TrainJob, RefJob}},
-        {"edge-train.stride-ref", true, false, {TrainJob, RefJob}},
-    };
-    for (unsigned CI = 0; CI != 4; ++CI) {
-      const Combo &C = Combos[CI];
-      Engine.addJob(
-          "feedback:" + Name + "/" + C.Tag, "feedback-job",
-          [W, &Config, S, C, CI](ObsSession *JobObs) {
-            Pipeline P(*W, Config, JobObs);
-            const EdgeProfile &EP =
-                C.EdgeFromTrain ? S->Train.Edges : S->Ref.Edges;
-            const StrideProfile &SP =
-                C.StrideFromTrain ? S->Train.Strides : S->Ref.Strides;
-            S->Cycles[CI] =
-                P.runPrefetched(DataSet::Ref, EP, SP).Stats.Cycles;
-          },
-          C.Deps);
-    }
+    const Workload &W = *Workloads[WI];
+    const std::string Name = W.info().Name;
+    Row &R = Rows[WI];
+    R.BaselineRef = Jobs.baseline(W, DataSet::Ref);
+    // Only the profiles feed the combos, so a profile run with the memory
+    // system on (Figure 16's) serves.
+    SuiteJobs::ProfileJob Train =
+        Jobs.profile(W, ProfilingMethod::SampleEdgeCheck, DataSet::Train,
+                     /*WithMemorySystem=*/false, /*ProfileOnly=*/true);
+    SuiteJobs::ProfileJob Ref =
+        Jobs.profile(W, ProfilingMethod::SampleEdgeCheck, DataSet::Ref,
+                     /*WithMemorySystem=*/false, /*ProfileOnly=*/true);
+    // Every edge × stride profile pairing, each timed on the reference
+    // input.
+    R.Combos.push_back(Jobs.feedback(W, Name + "/train", Train, Train));
+    R.Combos.push_back(Jobs.feedback(W, Name + "/ref", Ref, Ref));
+    R.Combos.push_back(
+        Jobs.feedback(W, Name + "/edge-ref.stride-train", Ref, Train));
+    R.Combos.push_back(
+        Jobs.feedback(W, Name + "/edge-train.stride-ref", Train, Ref));
   }
 
-  Engine.run();
+  Jobs.run();
 
+  std::vector<SensitivityMeasurement> Results(Workloads.size());
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
-    const Slot &S = Slots[WI];
-    auto Ratio = [&](uint64_t Cycles) {
-      return Cycles ? static_cast<double>(S.BaseCycles) /
+    const Row &R = Rows[WI];
+    const uint64_t BaseCycles = R.BaselineRef.Result->Cycles;
+    auto Ratio = [&](unsigned Combo) {
+      const uint64_t Cycles = R.Combos[Combo].Result->Stats.Cycles;
+      return Cycles ? static_cast<double>(BaseCycles) /
                           static_cast<double>(Cycles)
                     : 1.0;
     };
-    Results[WI].Train = Ratio(S.Cycles[0]);
-    Results[WI].Ref = Ratio(S.Cycles[1]);
-    Results[WI].EdgeRefStrideTrain = Ratio(S.Cycles[2]);
-    Results[WI].EdgeTrainStrideRef = Ratio(S.Cycles[3]);
+    Results[WI].Name = Workloads[WI]->info().Name;
+    Results[WI].Train = Ratio(0);
+    Results[WI].Ref = Ratio(1);
+    Results[WI].EdgeRefStrideTrain = Ratio(2);
+    Results[WI].EdgeTrainStrideRef = Ratio(3);
   }
   return Results;
 }
@@ -278,23 +385,22 @@ sprof::measureSensitivity(const Workload &W, const PipelineConfig &Config) {
 std::vector<BaselineMeasurement> sprof::measureSuiteBaselines(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config) {
+  SuiteJobs Jobs(Engine, Config);
+  std::vector<std::pair<SuiteJobs::Job<RunStats>, SuiteJobs::Job<RunStats>>>
+      Runs;
+  Runs.reserve(Workloads.size());
+  for (const Workload *W : Workloads)
+    Runs.emplace_back(Jobs.baseline(*W, DataSet::Train),
+                      Jobs.baseline(*W, DataSet::Ref));
+
+  Jobs.run();
+
   std::vector<BaselineMeasurement> Results(Workloads.size());
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
-    const Workload *W = Workloads[WI];
-    BaselineMeasurement *BM = &Results[WI];
-    BM->Info = W->info();
-    Engine.addJob("baseline:" + BM->Info.Name + "/train", "baseline-job",
-                  [W, &Config, BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
-                    BM->Train = P.runBaseline(DataSet::Train);
-                  });
-    Engine.addJob("baseline:" + BM->Info.Name + "/ref", "baseline-job",
-                  [W, &Config, BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
-                    BM->Ref = P.runBaseline(DataSet::Ref);
-                  });
+    Results[WI].Info = Workloads[WI]->info();
+    Results[WI].Train = *Runs[WI].first.Result;
+    Results[WI].Ref = *Runs[WI].second.Result;
   }
-  Engine.run();
   return Results;
 }
 

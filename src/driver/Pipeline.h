@@ -64,6 +64,11 @@ struct PipelineConfig {
   std::string TraceCapturePath;
   /// Write the human-readable sprof.trace.text/1 twin instead.
   bool TraceCaptureText = false;
+
+  /// Compares every field, nested configs included, so a field added
+  /// later joins the engine's result-memo key (driver/Engine.h) without
+  /// further edits.
+  bool operator==(const PipelineConfig &) const = default;
 };
 
 /// Accounting of a profile run's trace capture (PipelineConfig::

@@ -76,6 +76,8 @@ struct ClassifierConfig {
   /// indirection). Off by default, matching the published system.
   bool EnableDependentPrefetch = false;
   uint64_t CacheLineBytes = 64;
+
+  bool operator==(const ClassifierConfig &) const = default;
 };
 
 /// One planned prefetch.

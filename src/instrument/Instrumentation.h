@@ -88,6 +88,8 @@ struct InstrumentConfig {
   /// Trip-count threshold TT of the check methods (paper: 128). The shift
   /// W used in place of the division is floor(log2(TT)).
   uint64_t TripCountThreshold = 128;
+
+  bool operator==(const InstrumentConfig &) const = default;
 };
 
 /// What the instrumentation did; the feedback pass needs the counter maps

@@ -108,4 +108,10 @@ ProgramCache::CacheStats ProgramCache::stats() const {
 void ProgramCache::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Nodes.clear();
+  ++Generation;
+}
+
+uint64_t ProgramCache::generation() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Generation;
 }

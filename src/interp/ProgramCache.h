@@ -67,8 +67,16 @@ public:
 
   CacheStats stats() const;
 
-  /// Drops every entry (tests; outstanding shared_ptrs stay valid).
+  /// Drops every entry (tests; outstanding shared_ptrs stay valid) and
+  /// bumps generation(). This is the process's cold-start reset: benches
+  /// issue it to model a fresh run.
   void clear();
+
+  /// Number of clear() calls so far. Work memoized across runs (the
+  /// ExperimentEngine result memo) records the generation it was computed
+  /// in and is dropped once this moves on, so no result survives a
+  /// cold-start reset.
+  uint64_t generation() const;
 
 private:
   struct Node {
@@ -81,6 +89,7 @@ private:
   mutable std::mutex Mu;
   std::vector<Node> Nodes;
   uint64_t UseClock = 0;
+  uint64_t Generation = 0;
   size_t MaxEntries;
   CacheStats Counts;
 };

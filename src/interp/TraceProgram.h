@@ -241,6 +241,8 @@ struct TraceTierConfig {
   /// Compile attempts (aborts or invalidations) per head before the head
   /// is blacklisted for the rest of the run.
   uint32_t MaxCompilesPerHead = 4;
+
+  bool operator==(const TraceTierConfig &) const = default;
 };
 
 /// A compiled hot-trace superblock. Immutable after compilation (runtime

@@ -99,6 +99,8 @@ struct ObsConfig {
   /// signal dispositions alone; the watchdog and explicit dumps still
   /// work.
   bool FlightRecorderSignals = true;
+
+  bool operator==(const ObsConfig &) const = default;
 };
 
 /// Telemetry summary of one engine job: what ran, when, on which worker,

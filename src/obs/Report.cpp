@@ -181,6 +181,18 @@ JsonValue sprof::feedbackToJson(const FeedbackResult &FB,
   return J;
 }
 
+static const char *interpEngineName(InterpreterConfig::Engine E) {
+  switch (E) {
+  case InterpreterConfig::Engine::Reference:
+    return "reference";
+  case InterpreterConfig::Engine::Decoded:
+    return "decoded";
+  case InterpreterConfig::Engine::Trace:
+    return "trace";
+  }
+  return "unknown";
+}
+
 JsonValue sprof::pipelineConfigToJson(const PipelineConfig &Config) {
   JsonValue J = JsonValue::object();
 
@@ -221,6 +233,54 @@ JsonValue sprof::pipelineConfigToJson(const PipelineConfig &Config) {
   Cls.set("enable_use_distance_filter", CC.EnableUseDistanceFilter);
   Cls.set("enable_dependent_prefetch", CC.EnableDependentPrefetch);
   J.set("classifier", std::move(Cls));
+
+  const MemoryConfig &MC = Config.Memory;
+  JsonValue Mem = JsonValue::object();
+  JsonValue Levels = JsonValue::array();
+  for (const CacheLevelConfig &L : MC.Levels) {
+    JsonValue Level = JsonValue::object();
+    Level.set("name", L.Name);
+    Level.set("size_bytes", L.SizeBytes);
+    Level.set("associativity", L.Associativity);
+    Level.set("line_bytes", L.LineBytes);
+    Level.set("hit_latency", L.HitLatency);
+    Levels.push(std::move(Level));
+  }
+  Mem.set("levels", std::move(Levels));
+  Mem.set("memory_latency", MC.MemoryLatency);
+  Mem.set("enable_attribution", MC.EnableAttribution);
+  J.set("memory", std::move(Mem));
+
+  const TimingModel &TM = Config.Timing;
+  JsonValue Timing = JsonValue::object();
+  Timing.set("default_cost", TM.DefaultCost);
+  Timing.set("mul_cost", TM.MulCost);
+  Timing.set("load_base_cost", TM.LoadBaseCost);
+  Timing.set("store_cost", TM.StoreCost);
+  Timing.set("prefetch_cost", TM.PrefetchCost);
+  Timing.set("call_cost", TM.CallCost);
+  Timing.set("ret_cost", TM.RetCost);
+  Timing.set("counter_inc_cost", TM.CounterIncCost);
+  Timing.set("counter_read_cost", TM.CounterReadCost);
+  Timing.set("counter_add_to_cost", TM.CounterAddToCost);
+  Timing.set("predicated_off_cost", TM.PredicatedOffCost);
+  Timing.set("flat_load_latency", TM.FlatLoadLatency);
+  J.set("timing", std::move(Timing));
+
+  const InterpreterConfig &IC = Config.Interp;
+  JsonValue Interp = JsonValue::object();
+  Interp.set("engine", interpEngineName(IC.Exec));
+  JsonValue Tier = JsonValue::object();
+  Tier.set("hot_threshold", IC.Trace.HotThreshold);
+  Tier.set("path_threshold", IC.Trace.PathThreshold);
+  Tier.set("max_ops", IC.Trace.MaxOps);
+  Tier.set("invalidate_min_entries", IC.Trace.InvalidateMinEntries);
+  Tier.set("invalidate_min_avg_iters_x16", IC.Trace.InvalidateMinAvgItersX16);
+  Tier.set("max_compiles_per_head", IC.Trace.MaxCompilesPerHead);
+  Interp.set("trace", std::move(Tier));
+  Interp.set("share_program_cache", IC.ShareProgramCache);
+  Interp.set("stride_batch_window", IC.StrideBatchWindow);
+  J.set("interp", std::move(Interp));
 
   JsonValue Obs = JsonValue::object();
   Obs.set("enabled", Config.Obs.Enabled);

@@ -46,6 +46,8 @@ struct LfuConfig {
   /// `is_same_value` uses 4, i.e. values within the same 16-byte bucket
   /// compare equal).
   unsigned CoarsenShift = 0;
+
+  bool operator==(const LfuConfig &) const = default;
 };
 
 /// A profiled value and its frequency.

@@ -61,6 +61,8 @@ struct SamplingConfig {
   /// reference counts.
   uint64_t ChunkSkip = 600;
   uint64_t ChunkProfile = 150;
+
+  bool operator==(const SamplingConfig &) const = default;
 };
 
 /// Simulated cycle costs of the runtime routine's phases. The values model
@@ -73,6 +75,8 @@ struct StrideCostModel {
   uint32_t CoreCost = 24;       ///< stride/diff computation + bookkeeping
   uint32_t LfuBaseCost = 15;    ///< LFU call overhead
   uint32_t LfuPerWorkCost = 6;  ///< per buffer entry examined in LFU
+
+  bool operator==(const StrideCostModel &) const = default;
 };
 
 /// Full configuration of the stride-profiling runtime.
@@ -84,6 +88,8 @@ struct StrideProfilerConfig {
   /// (0 disables the enhancement and reproduces Figure 6 exactly).
   unsigned AddrCoarsenShift = 4;
   StrideCostModel Costs;
+
+  bool operator==(const StrideProfilerConfig &) const = default;
 };
 
 /// One queued strideProf invocation, as recorded by an engine's batched

@@ -15,6 +15,7 @@
 #include "driver/Engine.h"
 #include "driver/Experiments.h"
 #include "instrument/Instrumentation.h"
+#include "interp/ProgramCache.h"
 #include "obs/FlightRecorder.h"
 #include "profile/ProfileStore.h"
 
@@ -25,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -543,6 +545,204 @@ TEST(ExperimentEngine, SeedOffsetZeroReproducesStandalonePipeline) {
   // A non-zero offset owns a different RNG stream, so its profile is a
   // genuine replica, not a copy.
   EXPECT_NE(profileText(*Replica), profileText(*Canonical));
+}
+
+// -- Result memo ------------------------------------------------------------
+
+/// The chase workload under another name, whose reference-input builds
+/// throw while FailuresLeft is positive.
+class FlakyWorkload : public ChaseWorkload {
+public:
+  WorkloadInfo info() const override {
+    return {"test.flaky", "c", "pointer chase that fails to build"};
+  }
+  Program build(const BuildRequest &Req) const override {
+    if (Req.DS == DataSet::Ref && FailuresLeft.fetch_sub(1) > 0)
+      throw std::runtime_error("flaky build");
+    return ChaseWorkload::build(Req);
+  }
+
+  mutable std::atomic<int> FailuresLeft{0};
+};
+
+/// Every field of a suite call's results, as JSON (doubles print exactly).
+template <class T, class ToJson>
+std::string resultsJson(const std::vector<T> &Results, ToJson Fn) {
+  JsonValue A = JsonValue::array();
+  for (const T &R : Results)
+    A.push(Fn(R));
+  return A.str();
+}
+
+std::string suiteJson(const std::vector<BenchMeasurement> &R) {
+  return resultsJson(R, benchMeasurementToJson);
+}
+std::string sensitivityJson(const std::vector<SensitivityMeasurement> &R) {
+  return resultsJson(R, sensitivityMeasurementToJson);
+}
+std::string populationJson(const std::vector<PopulationRow> &R) {
+  return resultsJson(R, populationRowToJson);
+}
+std::string baselinesJson(const std::vector<BaselineMeasurement> &R) {
+  std::string S = resultsJson(R, baselineMeasurementToJson);
+  for (const BaselineMeasurement &B : R)
+    for (const RunStats *Stats : {&B.Train, &B.Ref})
+      for (uint64_t Count : Stats->SiteCounts)
+        S += " " + std::to_string(Count);
+  return S;
+}
+
+// Each suite call runs the jobs whose results the engine's memo does not
+// hold yet; repeats schedule nothing. Every result equals a fresh
+// engine's, at one thread and at four.
+TEST(ExperimentEngine, MemoRunsEachUniqueSuiteJobOnce) {
+  ChaseWorkload W;
+  const std::vector<const Workload *> Ws = {&W};
+  std::vector<std::string> Serial;
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(Threads);
+    ExperimentEngine Engine(withThreads(Threads));
+    auto Jobs = [&Engine] { return Engine.lastOutcomes().size(); };
+
+    const std::string Baselines =
+        baselinesJson(measureSuiteBaselines(Engine, Ws));
+    EXPECT_EQ(Jobs(), 2u);
+    // 14 jobs; the baseline ref run comes from the memo.
+    const std::string Suite = suiteJson(measureSuite(Engine, Ws));
+    EXPECT_EQ(Jobs(), 13u);
+    const std::string OutLoop =
+        populationJson(classifySuitePopulation(Engine, Ws, false));
+    EXPECT_EQ(Jobs(), 1u);
+    // Both loop populations come from one job.
+    const std::string InLoop =
+        populationJson(classifySuitePopulation(Engine, Ws, true));
+    EXPECT_EQ(Jobs(), 0u);
+    // 7 jobs; the baseline, the memsys-on sample-edge-check train profile
+    // and its train/train feedback run come from measureSuite's.
+    const std::string Sensitivity =
+        sensitivityJson(measureSuiteSensitivity(Engine, Ws));
+    EXPECT_EQ(Jobs(), 4u);
+
+    EXPECT_EQ(suiteJson(measureSuite(Engine, Ws)), Suite);
+    EXPECT_TRUE(Engine.lastOutcomes().empty());
+    EXPECT_EQ(sensitivityJson(measureSuiteSensitivity(Engine, Ws)),
+              Sensitivity);
+    EXPECT_TRUE(Engine.lastOutcomes().empty());
+    EXPECT_EQ(populationJson(classifySuitePopulation(Engine, Ws, false)),
+              OutLoop);
+    EXPECT_TRUE(Engine.lastOutcomes().empty());
+    EXPECT_EQ(baselinesJson(measureSuiteBaselines(Engine, Ws)), Baselines);
+    EXPECT_TRUE(Engine.lastOutcomes().empty());
+
+    {
+      ExperimentEngine E(withThreads(Threads));
+      EXPECT_EQ(baselinesJson(measureSuiteBaselines(E, Ws)), Baselines);
+    }
+    {
+      ExperimentEngine E(withThreads(Threads));
+      EXPECT_EQ(suiteJson(measureSuite(E, Ws)), Suite);
+    }
+    {
+      ExperimentEngine E(withThreads(Threads));
+      EXPECT_EQ(populationJson(classifySuitePopulation(E, Ws, false)),
+                OutLoop);
+    }
+    {
+      ExperimentEngine E(withThreads(Threads));
+      EXPECT_EQ(populationJson(classifySuitePopulation(E, Ws, true)), InLoop);
+    }
+    {
+      ExperimentEngine E(withThreads(Threads));
+      EXPECT_EQ(sensitivityJson(measureSuiteSensitivity(E, Ws)),
+                Sensitivity);
+    }
+
+    const std::vector<std::string> All = {Baselines, Suite, OutLoop, InLoop,
+                                          Sensitivity};
+    if (Threads == 1)
+      Serial = All;
+    else
+      EXPECT_EQ(All, Serial);
+  }
+}
+
+// ProgramCache::clear() is the cold-start reset: no result survives it.
+TEST(ExperimentEngine, MemoDroppedByProgramCacheClear) {
+  ChaseWorkload W;
+  ExperimentEngine Engine(withThreads(2));
+  const std::string First = suiteJson(measureSuite(Engine, {&W}));
+  const size_t Jobs = Engine.lastOutcomes().size();
+  ASSERT_EQ(Jobs, 14u);
+  measureSuite(Engine, {&W});
+  EXPECT_TRUE(Engine.lastOutcomes().empty());
+
+  ProgramCache::global().clear();
+  EXPECT_EQ(suiteJson(measureSuite(Engine, {&W})), First);
+  EXPECT_EQ(Engine.lastOutcomes().size(), Jobs);
+}
+
+// The key compares the whole PipelineConfig by value, nested fields
+// included.
+TEST(ExperimentEngine, MemoMissesOnAnyNestedConfigField) {
+  PipelineConfig Latency;
+  Latency.Memory.MemoryLatency += 40;
+  PipelineConfig HitLatency;
+  HitLatency.Memory.Levels[1].HitLatency += 1;
+  PipelineConfig Threshold;
+  Threshold.Classifier.SsstThreshold = 0.75;
+  EXPECT_FALSE(Latency == PipelineConfig());
+  EXPECT_FALSE(HitLatency == PipelineConfig());
+  EXPECT_FALSE(Threshold == PipelineConfig());
+
+  ChaseWorkload W;
+  ExperimentEngine Engine(withThreads(2));
+  measureSuite(Engine, {&W});
+  for (const PipelineConfig *C : {&Latency, &HitLatency, &Threshold}) {
+    measureSuite(Engine, {&W}, *C);
+    EXPECT_EQ(Engine.lastOutcomes().size(), 14u);
+  }
+  measureSuite(Engine, {&W}, HitLatency);
+  EXPECT_TRUE(Engine.lastOutcomes().empty());
+}
+
+// A job that throws is not memoized: the next call reruns exactly it.
+// The memo's telemetry counts one hit or miss per requested job.
+TEST(ExperimentEngine, MemoSkipsFailedJobs) {
+  FlakyWorkload W;
+  W.FailuresLeft = 1;
+  EngineOptions Opts = withThreads(1);
+  Opts.Obs.Enabled = true;
+  ExperimentEngine Engine(Opts);
+  // The baseline ref run is the first job to build the reference input.
+  EXPECT_THROW(measureSuite(Engine, {&W}), std::runtime_error);
+  ASSERT_EQ(Engine.lastOutcomes().size(), 14u);
+  EXPECT_FALSE(Engine.lastOutcomes()[0].Ok);
+
+  const std::string Second = suiteJson(measureSuite(Engine, {&W}));
+  ASSERT_EQ(Engine.lastOutcomes().size(), 1u);
+  EXPECT_TRUE(Engine.lastOutcomes()[0].Ok);
+  EXPECT_EQ(Engine.obs()->jobs().back().Name, "baseline:test.flaky/ref");
+
+  ExperimentEngine Fresh(withThreads(1));
+  EXPECT_EQ(suiteJson(measureSuite(Fresh, {&W})), Second);
+
+  const MetricsRegistry &Reg = Engine.obs()->registry();
+  EXPECT_EQ(Reg.counters().at("engine.memo_misses").value(), 15u);
+  EXPECT_EQ(Reg.counters().at("engine.memo_hits").value(), 13u);
+}
+
+// Trace capture writes a file per profile run, so capturing calls bypass
+// the memo entirely.
+TEST(ExperimentEngine, MemoBypassedWhileCapturingTraces) {
+  ChaseWorkload W;
+  PipelineConfig Config;
+  Config.TraceCapturePath = ::testing::TempDir() + "memo_bypass.sprof.trace";
+  ExperimentEngine Engine(withThreads(1));
+  for (int Call = 0; Call != 2; ++Call) {
+    classifySuitePopulation(Engine, {&W}, false, Config);
+    EXPECT_EQ(Engine.lastOutcomes().size(), 1u);
+  }
+  std::remove(Config.TraceCapturePath.c_str());
 }
 
 } // namespace

@@ -602,6 +602,24 @@ TEST(ObsReport, RunReportRoundTripsWithStableSchema) {
     EXPECT_TRUE(P.obs()->trace().hasSpan(Phase)) << Phase;
 }
 
+// The config section covers the cache hierarchy, the timing model and the
+// interpreter, so reports of runs on different simulated machines differ.
+TEST(ObsReport, ConfigSectionCoversMemoryTimingAndInterp) {
+  PipelineConfig Cache, Timing, Interp;
+  Cache.Memory.Levels[0].SizeBytes *= 2;
+  Timing.Timing.MulCost += 1;
+  Interp.Interp.Exec = InterpreterConfig::Engine::Reference;
+  const std::string Default = pipelineConfigToJson(PipelineConfig()).str();
+  for (const PipelineConfig *C : {&Cache, &Timing, &Interp})
+    EXPECT_NE(pipelineConfigToJson(*C).str(), Default);
+
+  JsonValue J = pipelineConfigToJson(PipelineConfig());
+  EXPECT_EQ(J.get("memory")->get("levels")->size(), 3u);
+  EXPECT_EQ(J.get("memory")->get("memory_latency")->asUInt(), 160u);
+  EXPECT_EQ(J.get("timing")->get("flat_load_latency")->asUInt(), 2u);
+  EXPECT_EQ(J.get("interp")->get("engine")->asString(), "decoded");
+}
+
 // The /5 trace-tier section: present exactly when the run executed under
 // the Trace engine, with the counters agreeing with the pipeline's
 // in-memory TraceTierStats and the derived side-exit rate in range.

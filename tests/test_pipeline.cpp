@@ -8,6 +8,7 @@
 
 #include "driver/Pipeline.h"
 #include "ir/Verifier.h"
+#include "profile/ProfileStore.h"
 
 #include <gtest/gtest.h>
 
@@ -156,4 +157,29 @@ TEST(Pipeline, SampledProfilesStillFindDominantStrides) {
       Found128 = true;
   }
   EXPECT_TRUE(Found128);
+}
+
+// Profiles do not depend on the memory system: for every method, a run
+// with the cache hierarchy attached harvests the same edges, strides and
+// stride counters as one without it. The engine's result memo serves
+// profile-only requests across the flag on the strength of this.
+TEST(Pipeline, ProfilesDoNotDependOnTheMemorySystem) {
+  for (const char *Name : {"181.mcf", "254.gap"}) {
+    std::unique_ptr<Workload> W = makeWorkloadByName(Name);
+    ASSERT_NE(W, nullptr);
+    Pipeline P(*W);
+    for (ProfilingMethod M : allProfilingMethods()) {
+      SCOPED_TRACE(std::string(Name) + "/" + profilingMethodName(M));
+      ProfileRunResult On = P.runProfile(M, DataSet::Train, true);
+      ProfileRunResult Off = P.runProfile(M, DataSet::Train, false);
+      const ProfileMeta Meta{Name, profilingMethodName(M), "train"};
+      EXPECT_EQ(ProfileStore(Meta, On.Edges, On.Strides).toString(),
+                ProfileStore(Meta, Off.Edges, Off.Strides).toString());
+      EXPECT_EQ(On.StrideInvocations, Off.StrideInvocations);
+      EXPECT_EQ(On.StrideProcessed, Off.StrideProcessed);
+      EXPECT_EQ(On.LfuCalls, Off.LfuCalls);
+      // The runs themselves differ: only one simulated the caches.
+      EXPECT_NE(On.Stats.Cycles, Off.Stats.Cycles);
+    }
+  }
 }
