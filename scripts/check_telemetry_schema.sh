@@ -4,7 +4,7 @@
 # "sprof.run_report/5" schema (each version a strict superset of the
 # previous: the /1../4 sections must all still be present and shaped as
 # before), the attribution exact-sum invariant, the profile_diff,
-# self_profile, profile_run.trace, and trace_tier sections, the "sprof.timeseries/1"
+# self_profile, and profile_run.trace sections, the "sprof.timeseries/1"
 # sampler artifact, the folded-stack self-profile file, the binary
 # "sprof.trace/1" or /2 capture's framing (for /2 also the seekable tail
 # and the shard index's invariants), and the Chrome trace
@@ -13,9 +13,9 @@
 # diff, timeseries, hotspots, and trace modes against the fresh artifacts
 # — including that unknown subcommands, malformed JSON, truncated traces,
 # and trace version mismatches exit nonzero — and when given a
-# bench-trajectory point it validates the "sprof.bench_point/5" schema
-# (accepting legacy /1../4 points). When given the sweep_demo example it
-# also validates the "sprof.sweep_report/1" document (per-job queue-wait
+# bench-trajectory point it validates the "sprof.bench_point/6" schema.
+# When given the sweep_demo example it also validates the
+# "sprof.sweep_report/1" document (per-job queue-wait
 # vs run split, dependency edges referencing earlier ids, the critical
 # path's sum-of-durations <= wall invariant, and the scheduler section
 # with per-worker utilization), the Chrome trace's flow-event pairing
@@ -196,57 +196,6 @@ if report.get("schema") in RUN_REPORT_SCHEMAS[3:]:
         check(capture.get("events", 0) ==
               report.get("profile_run", {}).get("stride_invocations"),
               "trace events != profile_run.stride_invocations")
-
-# -- run_report/5 additions ------------------------------------------------
-
-if report.get("schema") == "sprof.run_report/5":
-    # The demo runs under Engine::Trace, so both run sections must carry
-    # the tier's host-side accounting. The simulated stats stay engine-
-    # independent; trace_tier lives beside them, never inside.
-    for section in ("profile_run", "timed_run"):
-        tier = report.get(section, {}).get("trace_tier")
-        check(isinstance(tier, dict), f"/5 report missing {section}.trace_tier")
-        if not isinstance(tier, dict):
-            continue
-        for key in ("traces_compiled", "traces_adopted", "compile_aborts",
-                    "invalidations", "entries", "iterations", "side_exits",
-                    "loop_exits", "fuel_exits", "on_trace_insts",
-                    "on_trace_refs", "traces"):
-            check(key in tier, f"{section}.trace_tier missing {key!r}")
-        traces = tier.get("traces", [])
-        check(isinstance(traces, list) and traces,
-              f"{section}.trace_tier.traces empty")
-        sums = {k: 0 for k in ("entries", "iterations", "side_exits",
-                               "loop_exits", "fuel_exits")}
-        for t in traces if isinstance(traces, list) else []:
-            for key in ("id", "head_pc", "num_ops", "num_guards", "entries",
-                        "iterations", "side_exits", "loop_exits",
-                        "fuel_exits", "guard_exits", "invalidated"):
-                check(key in t, f"trace_tier trace missing {key!r}")
-            for k in sums:
-                sums[k] += t.get(k, 0)
-            guard_exits = t.get("guard_exits", [])
-            check(isinstance(guard_exits, list) and
-                  len(guard_exits) == t.get("num_guards"),
-                  "guard_exits length != num_guards")
-            check(sum(guard_exits) == t.get("side_exits", 0) +
-                  t.get("loop_exits", 0),
-                  "guard_exits sum != side_exits + loop_exits")
-        for k, total in sums.items():
-            check(total == tier.get(k),
-                  f"{section}.trace_tier.{k} {tier.get(k)} != per-trace "
-                  f"sum {total}")
-        # Every entry leaves exactly one way.
-        check(tier.get("side_exits", 0) + tier.get("loop_exits", 0) +
-              tier.get("fuel_exits", 0) == tier.get("entries"),
-              f"{section} exit kinds do not sum to entries")
-        rate = tier.get("side_exit_rate")
-        check(isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0,
-              f"{section}.trace_tier.side_exit_rate missing or out of range")
-    # Trace-tier samples surface as "trace:<n>" frames in the self-profile.
-    entries = (report.get("self_profile") or {}).get("entries", [])
-    check(any(e.get("op", "").startswith("trace:") for e in entries),
-          "no trace:<n> frames in self_profile despite Engine::Trace")
 
 # -- sprof.trace/1 + /2 binary framing -------------------------------------
 
@@ -571,50 +520,31 @@ with open(sys.argv[1]) as f:
     point = json.load(f)
 failures = []
 schema = point.get("schema")
-if schema not in ("sprof.bench_point/1", "sprof.bench_point/2",
-                  "sprof.bench_point/3", "sprof.bench_point/4",
-                  "sprof.bench_point/5"):
+if schema != "sprof.bench_point/6":
     failures.append(f"unexpected schema: {schema!r}")
 for key in ("date", "geomean_speedup", "profiling_overhead",
-            "prefetch_useful_ratio", "accuracy_score"):
+            "prefetch_useful_ratio", "accuracy_score", "engine_wall_speedup",
+            "memsys_wall_speedup", "profiled_wall_speedup"):
     if key not in point:
         failures.append(f"bench point missing {key!r}")
-if schema in ("sprof.bench_point/2", "sprof.bench_point/3",
-              "sprof.bench_point/4", "sprof.bench_point/5"):
-    # v2 adds the wall-clock compare geomeans for the memsys-attached and
-    # profiler-attached configurations.
-    for key in ("engine_wall_speedup", "memsys_wall_speedup",
-                "profiled_wall_speedup"):
-        if key not in point:
-            failures.append(f"bench point missing {key!r}")
-if schema in ("sprof.bench_point/3", "sprof.bench_point/4",
-              "sprof.bench_point/5"):
-    # v3 adds the worst-case telemetry overhead from the instrumented
-    # wall-clock compare (a ratio - 1, so anything >= -1 is legal).
-    overhead = point.get("telemetry_overhead")
-    if not isinstance(overhead, (int, float)) or overhead < -1:
-        failures.append("bench point telemetry_overhead missing or invalid")
-if schema in ("sprof.bench_point/4", "sprof.bench_point/5"):
-    # v4 adds the trace tier's wall-clock geomean over the decoded engine.
-    value = point.get("trace_wall_speedup")
-    if not isinstance(value, (int, float)) or value < 0:
-        failures.append("bench point trace_wall_speedup missing or invalid")
-if schema == "sprof.bench_point/5":
-    # v5 adds the parallel-replay scaling ratio (serial over threaded
-    # wall time; warn-only in the gate, but it must be present and sane).
-    value = point.get("replay_parallel_speedup")
-    if not isinstance(value, (int, float)) or value < 0:
-        failures.append(
-            "bench point replay_parallel_speedup missing or invalid")
+# The worst-case telemetry overhead from the instrumented wall-clock
+# compare (a ratio - 1, so anything >= -1 is legal).
+overhead = point.get("telemetry_overhead")
+if not isinstance(overhead, (int, float)) or overhead < -1:
+    failures.append("bench point telemetry_overhead missing or invalid")
+# The parallel-replay scaling ratio (serial over threaded wall time;
+# warn-only in the gate, but it must be present and sane).
+value = point.get("replay_parallel_speedup")
+if not isinstance(value, (int, float)) or value < 0:
+    failures.append("bench point replay_parallel_speedup missing or invalid")
 for key in ("geomean_speedup", "prefetch_useful_ratio", "accuracy_score"):
     value = point.get(key)
     if not isinstance(value, (int, float)) or value < 0:
         failures.append(f"bench point {key} not a non-negative number")
-if "replay_events_per_sec" in point:
-    # Optional /3 extension: trace-replay decode+profile throughput.
-    value = point.get("replay_events_per_sec")
-    if not isinstance(value, (int, float)) or value <= 0:
-        failures.append("bench point replay_events_per_sec not positive")
+# Trace-replay decode+profile throughput.
+value = point.get("replay_events_per_sec")
+if not isinstance(value, (int, float)) or value <= 0:
+    failures.append("bench point replay_events_per_sec not positive")
 if "git_sha" in point:
     # Optional provenance stamp: a full commit sha plus a dirty flag.
     sha = point.get("git_sha")

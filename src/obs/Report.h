@@ -20,10 +20,9 @@
 /// "profile_diff" sections, /3 the optional "self_profile" section (the
 /// engine's window-sampled per-dispatch-op attribution), /4 the optional
 /// "profile_run.trace" section (accounting of the sprof.trace capture a
-/// profile run recorded), /5 adds the optional "trace_tier" section in
-/// profile_run/timed_run (hot-trace selection and execution accounting of
-/// runs under the Trace engine), so an older reader that ignores unknown
-/// keys parses newer documents unchanged.
+/// profile run recorded), /5 an optional section for an execution tier
+/// that has since been removed (writers no longer emit it), so an older
+/// reader that ignores unknown keys parses newer documents unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,8 +51,8 @@ inline constexpr const char *RunReportSchemaV2 = "sprof.run_report/2";
 /// existed; still accepted by every reader.
 inline constexpr const char *RunReportSchemaV3 = "sprof.run_report/3";
 
-/// Schema identifier of reports written before the trace-tier section
-/// existed; still accepted by every reader.
+/// Schema identifier of reports written before /5; still accepted by
+/// every reader.
 inline constexpr const char *RunReportSchemaV4 = "sprof.run_report/4";
 
 /// Schema identifier stamped into every run report.
@@ -91,10 +90,6 @@ JsonValue profileDiffToJson(const ProfileDiffResult &Diff);
 /// Trace-capture accounting section (run_report/4): the sprof.trace
 /// artifact a profile run recorded (path, schema, event/byte counts).
 JsonValue traceCaptureToJson(const TraceCaptureInfo &Capture);
-/// Trace-tier accounting section (run_report/5): selection counters,
-/// entry/iteration/exit mix with the derived side-exit rate, and the
-/// per-trace breakdown (shape, exit mix, per-guard exit counts).
-JsonValue traceTierToJson(const TraceTierStats &TT);
 JsonValue metricsToJson(const MetricsRegistry &Registry);
 /// Engine self-profile section (run_report/3): sampling window, total
 /// sample count, and every nonzero (workload, phase, op) cell with its

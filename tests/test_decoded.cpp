@@ -20,6 +20,7 @@
 #include "instrument/Instrumentation.h"
 #include "interp/DecodedProgram.h"
 #include "interp/Interpreter.h"
+#include "interp/ProgramCache.h"
 #include "ir/IRBuilder.h"
 #include "obs/Obs.h"
 #include "obs/SelfProfiler.h"
@@ -31,6 +32,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -512,5 +515,80 @@ TEST(DecodedEngine, TinyStrideRingMatchesReferenceAcrossMethods) {
     EXPECT_EQ(RR.StrideInvocations, RD.StrideInvocations);
     EXPECT_EQ(RR.StrideProcessed, RD.StrideProcessed);
     EXPECT_EQ(RR.LfuCalls, RD.LfuCalls);
+  }
+}
+
+// Content-keyed program cache: names are ignored, an operand byte changes
+// the key, and a renamed clone is a hit.
+TEST(DecodedEngine, ProgramCacheKeyIsContentNotName) {
+  uint32_t DataSite = 0, NextSite = 0;
+  Module A = makeChaseModule(DataSite, NextSite);
+  Module B = makeChaseModule(DataSite, NextSite);
+  B.Name = "other";
+  B.Functions[0].Name = "renamed";
+  EXPECT_EQ(ProgramCache::hashModule(A), ProgramCache::hashModule(B));
+  Module C = makeChaseModule(DataSite, NextSite);
+  C.Functions[0].Blocks[1].Insts[0].Imm ^= 1;
+  EXPECT_NE(ProgramCache::hashModule(A), ProgramCache::hashModule(C));
+
+  ProgramCache Cache(4);
+  Cache.get(A);
+  Cache.get(B);
+  ProgramCache::CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 1u);
+}
+
+// IR integer arithmetic wraps modulo 2^64 (docs/IR.md). Each case returns
+// one overflowing result as the entry function's value; both engines must
+// produce the two's-complement wrap. The last case chains two adjacent
+// adds, which the decoder fuses into one AddAdd handler.
+TEST(DecodedEngine, ArithmeticWrapsOnOverflow) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  struct Case {
+    Opcode Op;
+    int64_t A, B, Wrapped;
+  };
+  const Case Cases[] = {
+      {Opcode::Add, Max, 1, Min},      {Opcode::Add, Min, -1, Max},
+      {Opcode::Sub, Min, 1, Max},      {Opcode::Sub, Max, -1, Min},
+      {Opcode::Mul, Max, 3, Max - 2},  {Opcode::Mul, Min, -1, Min},
+      {Opcode::Mul, int64_t(1) << 32, int64_t(1) << 32, 0},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(opcodeName(C.Op)) + " " + std::to_string(C.A) +
+                 ", " + std::to_string(C.B));
+    Module M;
+    IRBuilder B(M);
+    B.startFunction("main", 0);
+    Reg X = B.movImm(C.A);
+    Reg R = B.binop(C.Op, Operand::reg(X), Operand::imm(C.B));
+    B.ret(Operand::reg(R));
+    for (InterpreterConfig::Engine E : {InterpreterConfig::Engine::Reference,
+                                        InterpreterConfig::Engine::Decoded}) {
+      Interpreter I(M, SimMemory(), TimingModel(), interpConfig(E));
+      RunStats S = I.run();
+      ASSERT_TRUE(S.Completed);
+      EXPECT_EQ(S.ExitValue, C.Wrapped);
+    }
+  }
+
+  Module M;
+  IRBuilder B(M);
+  B.startFunction("main", 0);
+  Reg X = B.movImm(Max);
+  Reg Y = B.add(Operand::reg(X), Operand::imm(1));
+  Reg Z = B.add(Operand::reg(Y), Operand::imm(Min));
+  B.ret(Operand::reg(Z));
+  DecodedProgram DP(M);
+  bool Fused = false;
+  for (const DInst &D : DP.code())
+    Fused |= D.DOp == static_cast<uint8_t>(FusedOp::AddAdd);
+  EXPECT_TRUE(Fused);
+  for (InterpreterConfig::Engine E : {InterpreterConfig::Engine::Reference,
+                                      InterpreterConfig::Engine::Decoded}) {
+    Interpreter I(M, SimMemory(), TimingModel(), interpConfig(E));
+    EXPECT_EQ(I.run().ExitValue, 0);
   }
 }
