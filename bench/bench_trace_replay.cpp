@@ -1,6 +1,6 @@
 //===- bench/bench_trace_replay.cpp - Trace capture/replay throughput ------===//
 //
-// Part of the StrideProf project (see bench_fig16_speedup.cpp for the
+// Part of the StrideProf project (see sprof_repro.cpp for the
 // project reference).
 //
 //===----------------------------------------------------------------------===//

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regression-gated bench trajectory.
 
-Runs the headline benches (figure-16 speedups, figure-20 profiling
-overhead, the engine wall-clock compare harness — once plain and once with
-full telemetry attached — and the telemetry demo's profile-accuracy diff),
+Runs the headline benches (figure-16 speedups and figure-20 profiling
+overhead from one sprof-repro run, the engine wall-clock compare harness —
+once plain and once with full telemetry attached — and the telemetry
+demo's profile-accuracy diff),
 condenses them into one trajectory point
 
     {"schema": "sprof.bench_point/6", "date": ..., "geomean_speedup": ...,
@@ -87,8 +88,9 @@ def git_revision():
 
 def collect_point(build_dir, threads, workdir):
     """Runs the benches into workdir and condenses one trajectory point."""
-    fig16 = os.path.join(workdir, "fig16.json")
-    fig20 = os.path.join(workdir, "fig20.json")
+    figures = os.path.join(workdir, "figures")
+    fig16 = os.path.join(figures, "bench_fig16_speedup.json")
+    fig20 = os.path.join(figures, "bench_fig20_overhead.json")
     runtime = os.path.join(workdir, "runtime.json")
     runtime_memsys = os.path.join(workdir, "runtime_memsys.json")
     runtime_profiled = os.path.join(workdir, "runtime_profiled.json")
@@ -102,10 +104,10 @@ def collect_point(build_dir, threads, workdir):
 
     bench = os.path.join(build_dir, "bench")
     examples = os.path.join(build_dir, "examples")
-    run([os.path.join(bench, "bench_fig16_speedup"),
-         f"--threads={threads}", f"--json={fig16}"], stdout=subprocess.DEVNULL)
-    run([os.path.join(bench, "bench_fig20_overhead"),
-         f"--threads={threads}", f"--json={fig20}"], stdout=subprocess.DEVNULL)
+    # One sprof-repro run writes every figure document; figures 16 and 20
+    # feed the point.
+    run([os.path.join(bench, "sprof-repro"), f"--threads={threads}",
+         f"--out={figures}"], stdout=subprocess.DEVNULL)
     run([os.path.join(bench, "bench_runtime"), "--compare",
          f"--json={runtime}"], stdout=subprocess.DEVNULL)
     run([os.path.join(bench, "bench_runtime"), "--compare", "--with-memsys",

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Validates the machine-readable telemetry artifacts: runs the
 # telemetry_demo example and checks the run report against the
-# "sprof.run_report/5" schema (each version a strict superset of the
-# previous: the /1../4 sections must all still be present and shaped as
-# before), the attribution exact-sum invariant, the profile_diff,
+# "sprof.run_report/5" schema (the only version accepted), the
+# attribution exact-sum invariant, the profile_diff,
 # self_profile, and profile_run.trace sections, the "sprof.timeseries/1"
 # sampler artifact, the folded-stack self-profile file, the binary
 # "sprof.trace/1" or /2 capture's framing (for /2 also the seekable tail
@@ -11,9 +10,10 @@
 # for the pipeline's phase spans plus the sampler's counter ("C") events.
 # When given the sprof-inspect binary it also smoke-tests its summary,
 # diff, timeseries, hotspots, and trace modes against the fresh artifacts
-# — including that unknown subcommands, malformed JSON, truncated traces,
-# and trace version mismatches exit nonzero — and when given a
-# bench-trajectory point it validates the "sprof.bench_point/6" schema.
+# — including that unknown subcommands, malformed JSON, an older run
+# report, truncated traces, and trace version mismatches exit nonzero —
+# and when given a bench-trajectory point it validates the
+# "sprof.bench_point/6" schema.
 # When given the sweep_demo example it also validates the
 # "sprof.sweep_report/1" document (per-job queue-wait
 # vs run split, dependency edges referencing earlier ids, the critical
@@ -68,10 +68,8 @@ def check(cond, message):
 with open(report_path) as f:
     report = json.load(f)
 
-RUN_REPORT_SCHEMAS = ("sprof.run_report/1", "sprof.run_report/2",
-                      "sprof.run_report/3", "sprof.run_report/4",
-                      "sprof.run_report/5")
-check(report.get("schema") in RUN_REPORT_SCHEMAS,
+RUN_REPORT_SCHEMA = "sprof.run_report/5"
+check(report.get("schema") == RUN_REPORT_SCHEMA,
       f"unexpected schema: {report.get('schema')!r}")
 for key in ("workload", "config", "profile_run", "baseline_run",
             "timed_run", "speedup", "metrics"):
@@ -101,101 +99,98 @@ sampling = (report.get("config", {}).get("profiler", {}).get("sampling"))
 check(isinstance(sampling, dict) and "enabled" in sampling,
       "config.profiler.sampling missing")
 
-# -- run_report/2 additions ------------------------------------------------
+# -- attribution and profile_diff -----------------------------------------
 
-if report.get("schema") in RUN_REPORT_SCHEMAS[1:]:
-    attribution = report.get("attribution")
-    check(isinstance(attribution, dict), "/2 report missing attribution")
-    if isinstance(attribution, dict):
-        check(attribution.get("finalized") is True,
-              "attribution not finalized")
-        outcomes = attribution.get("outcomes", {})
-        for key in ("useful", "late", "early", "redundant", "issued"):
-            check(key in outcomes, f"attribution.outcomes missing {key!r}")
-        total = sum(outcomes.get(k, 0)
-                    for k in ("useful", "late", "early", "redundant"))
-        check(total == outcomes.get("issued"),
-              f"attribution sum {total} != issued {outcomes.get('issued')}")
-        issued = report["timed_run"]["stats"]["memory"]["prefetches_issued"]
-        check(outcomes.get("issued") == issued,
-              f"attribution issued {outcomes.get('issued')} != "
-              f"memsys prefetches_issued {issued}")
-        per_site = attribution.get("per_site", [])
-        check(isinstance(per_site, list) and per_site,
-              "attribution.per_site empty")
-        site_sum = sum(s.get(k, 0) for s in per_site
-                       for k in ("useful", "late", "early", "redundant"))
-        check(site_sum == outcomes.get("issued"),
-              f"per-site sum {site_sum} != issued {outcomes.get('issued')}")
-        for key in ("by_class", "demand_misses"):
-            check(key in attribution, f"attribution missing {key!r}")
-        for s in per_site:
-            for key in ("site", "class", "accesses", "l1_misses",
-                        "full_misses", "stall_cycles"):
-                check(key in s, f"attribution site missing {key!r}")
+attribution = report.get("attribution")
+check(isinstance(attribution, dict), "report missing attribution")
+if isinstance(attribution, dict):
+    check(attribution.get("finalized") is True,
+          "attribution not finalized")
+    outcomes = attribution.get("outcomes", {})
+    for key in ("useful", "late", "early", "redundant", "issued"):
+        check(key in outcomes, f"attribution.outcomes missing {key!r}")
+    total = sum(outcomes.get(k, 0)
+                for k in ("useful", "late", "early", "redundant"))
+    check(total == outcomes.get("issued"),
+          f"attribution sum {total} != issued {outcomes.get('issued')}")
+    issued = report["timed_run"]["stats"]["memory"]["prefetches_issued"]
+    check(outcomes.get("issued") == issued,
+          f"attribution issued {outcomes.get('issued')} != "
+          f"memsys prefetches_issued {issued}")
+    per_site = attribution.get("per_site", [])
+    check(isinstance(per_site, list) and per_site,
+          "attribution.per_site empty")
+    site_sum = sum(s.get(k, 0) for s in per_site
+                   for k in ("useful", "late", "early", "redundant"))
+    check(site_sum == outcomes.get("issued"),
+          f"per-site sum {site_sum} != issued {outcomes.get('issued')}")
+    for key in ("by_class", "demand_misses"):
+        check(key in attribution, f"attribution missing {key!r}")
+    for s in per_site:
+        for key in ("site", "class", "accesses", "l1_misses",
+                    "full_misses", "stall_cycles"):
+            check(key in s, f"attribution site missing {key!r}")
 
-    diff = report.get("profile_diff")
-    check(isinstance(diff, dict), "/2 report missing profile_diff")
-    if isinstance(diff, dict):
-        for key in ("sites_compared", "top_stride_agreement",
-                    "class_agreement", "weighted_accuracy", "class_flips",
-                    "sites"):
-            check(key in diff, f"profile_diff missing {key!r}")
-        acc = diff.get("weighted_accuracy", -1)
-        check(0.0 <= acc <= 1.0,
-              f"weighted_accuracy {acc} outside [0, 1]")
-        flips = diff.get("class_flips", {})
-        classes = ("none", "ssst", "pmst", "wsst")
-        check(all(c in flips and all(d in flips[c] for d in classes)
-                  for c in classes),
-              "class_flips is not a 4x4 class matrix")
-        flip_total = sum(flips[a][b] for a in classes for b in classes
-                         if a in flips and b in flips.get(a, {}))
-        check(flip_total == diff.get("sites_compared"),
-              f"flip total {flip_total} != sites_compared "
-              f"{diff.get('sites_compared')}")
+diff = report.get("profile_diff")
+check(isinstance(diff, dict), "report missing profile_diff")
+if isinstance(diff, dict):
+    for key in ("sites_compared", "top_stride_agreement",
+                "class_agreement", "weighted_accuracy", "class_flips",
+                "sites"):
+        check(key in diff, f"profile_diff missing {key!r}")
+    acc = diff.get("weighted_accuracy", -1)
+    check(0.0 <= acc <= 1.0,
+          f"weighted_accuracy {acc} outside [0, 1]")
+    flips = diff.get("class_flips", {})
+    classes = ("none", "ssst", "pmst", "wsst")
+    check(all(c in flips and all(d in flips[c] for d in classes)
+              for c in classes),
+          "class_flips is not a 4x4 class matrix")
+    flip_total = sum(flips[a][b] for a in classes for b in classes
+                     if a in flips and b in flips.get(a, {}))
+    check(flip_total == diff.get("sites_compared"),
+          f"flip total {flip_total} != sites_compared "
+          f"{diff.get('sites_compared')}")
 
-# -- run_report/3 additions ------------------------------------------------
+# -- engine self-profile ---------------------------------------------------
 
-if report.get("schema") in RUN_REPORT_SCHEMAS[2:]:
-    self_profile = report.get("self_profile")
-    check(isinstance(self_profile, dict), "/3 report missing self_profile")
-    if isinstance(self_profile, dict):
-        for key in ("window", "total_samples", "entries"):
-            check(key in self_profile, f"self_profile missing {key!r}")
-        entries = self_profile.get("entries", [])
-        check(isinstance(entries, list) and entries,
-              "self_profile.entries empty")
-        entry_sum = 0
-        for e in entries:
-            for key in ("workload", "phase", "op", "samples", "ns"):
-                check(key in e, f"self_profile entry missing {key!r}")
-            entry_sum += e.get("samples", 0)
-        check(entry_sum == self_profile.get("total_samples"),
-              f"self_profile entry sum {entry_sum} != total_samples "
-              f"{self_profile.get('total_samples')}")
-        samples_sorted = [e.get("samples", 0) for e in entries]
-        check(samples_sorted == sorted(samples_sorted, reverse=True),
-              "self_profile.entries not sorted by samples descending")
-    obs_config = report.get("config", {}).get("obs", {})
-    for key in ("sample_interval_us", "sample_ring_capacity",
-                "self_profile", "self_profile_window"):
-        check(key in obs_config, f"config.obs missing {key!r}")
+self_profile = report.get("self_profile")
+check(isinstance(self_profile, dict), "report missing self_profile")
+if isinstance(self_profile, dict):
+    for key in ("window", "total_samples", "entries"):
+        check(key in self_profile, f"self_profile missing {key!r}")
+    entries = self_profile.get("entries", [])
+    check(isinstance(entries, list) and entries,
+          "self_profile.entries empty")
+    entry_sum = 0
+    for e in entries:
+        for key in ("workload", "phase", "op", "samples", "ns"):
+            check(key in e, f"self_profile entry missing {key!r}")
+        entry_sum += e.get("samples", 0)
+    check(entry_sum == self_profile.get("total_samples"),
+          f"self_profile entry sum {entry_sum} != total_samples "
+          f"{self_profile.get('total_samples')}")
+    samples_sorted = [e.get("samples", 0) for e in entries]
+    check(samples_sorted == sorted(samples_sorted, reverse=True),
+          "self_profile.entries not sorted by samples descending")
+obs_config = report.get("config", {}).get("obs", {})
+for key in ("sample_interval_us", "sample_ring_capacity",
+            "self_profile", "self_profile_window"):
+    check(key in obs_config, f"config.obs missing {key!r}")
 
-# -- run_report/4 additions ------------------------------------------------
+# -- trace capture ---------------------------------------------------------
 
-if report.get("schema") in RUN_REPORT_SCHEMAS[3:]:
-    capture = report.get("profile_run", {}).get("trace")
-    check(isinstance(capture, dict), "/4 report missing profile_run.trace")
-    if isinstance(capture, dict):
-        for key in ("path", "schema", "events", "bytes"):
-            check(key in capture, f"profile_run.trace missing {key!r}")
-        check(capture.get("schema") in ("sprof.trace/1", "sprof.trace/2",
-                                        "sprof.trace.text/1"),
-              f"unexpected trace schema: {capture.get('schema')!r}")
-        check(capture.get("events", 0) ==
-              report.get("profile_run", {}).get("stride_invocations"),
-              "trace events != profile_run.stride_invocations")
+capture = report.get("profile_run", {}).get("trace")
+check(isinstance(capture, dict), "report missing profile_run.trace")
+if isinstance(capture, dict):
+    for key in ("path", "schema", "events", "bytes"):
+        check(key in capture, f"profile_run.trace missing {key!r}")
+    check(capture.get("schema") in ("sprof.trace/1", "sprof.trace/2",
+                                    "sprof.trace.text/1"),
+          f"unexpected trace schema: {capture.get('schema')!r}")
+    check(capture.get("events", 0) ==
+          report.get("profile_run", {}).get("stride_invocations"),
+          "trace events != profile_run.stride_invocations")
 
 # -- sprof.trace/1 + /2 binary framing -------------------------------------
 
@@ -291,8 +286,7 @@ if version >= 2:
         check(footer_events == reported_events,
               f"/2 footer says {footer_events} events but the report "
               f"says {reported_events}")
-if report.get("schema") in RUN_REPORT_SCHEMAS[3:] and \
-        isinstance(report.get("profile_run", {}).get("trace"), dict):
+if isinstance(report.get("profile_run", {}).get("trace"), dict):
     reported = report["profile_run"]["trace"].get("bytes")
     check(reported == len(raw),
           f"trace capture is {len(raw)} bytes on disk but the report "
@@ -300,7 +294,7 @@ if report.get("schema") in RUN_REPORT_SCHEMAS[3:] and \
 
 with open(sampled_path) as f:
     sampled = json.load(f)
-check(sampled.get("schema") in RUN_REPORT_SCHEMAS,
+check(sampled.get("schema") == RUN_REPORT_SCHEMA,
       f"sampled report has unexpected schema: {sampled.get('schema')!r}")
 check("profile_run" in sampled, "sampled report missing profile_run")
 
@@ -348,8 +342,7 @@ for line in folded_lines:
     check(folded_re.match(line) is not None,
           f"malformed folded line: {line!r}")
 folded_total = sum(int(line.rsplit(" ", 1)[1]) for line in folded_lines)
-if report.get("schema") in RUN_REPORT_SCHEMAS[2:] and \
-        isinstance(report.get("self_profile"), dict):
+if isinstance(report.get("self_profile"), dict):
     check(folded_total == report["self_profile"].get("total_samples"),
           f"folded sample total {folded_total} != self_profile "
           f"total_samples {report['self_profile'].get('total_samples')}")
@@ -446,6 +439,19 @@ EOF
     fi
     grep -q "parse error" "$WORKDIR/inspect_err.txt" || {
         echo "FAIL: malformed-JSON diagnostic missing" >&2
+        exit 1
+    }
+    # Each document kind renders at its current version only.
+    sed 's/sprof.run_report\/5/sprof.run_report\/4/' "$REPORT" \
+        > "$WORKDIR/report_v4.json"
+    if "$INSPECT" summary "$WORKDIR/report_v4.json" \
+            2> "$WORKDIR/inspect_err.txt"; then
+        echo "FAIL: sprof-inspect summary accepted a run_report/4" >&2
+        exit 1
+    fi
+    grep -q "the only version this reader supports" \
+            "$WORKDIR/inspect_err.txt" || {
+        echo "FAIL: old-schema diagnostic missing" >&2
         exit 1
     }
     if "$INSPECT" timeseries "$REPORT" 2> "$WORKDIR/inspect_err.txt"; then
@@ -739,7 +745,8 @@ EOF
             echo "FAIL: sprof-inspect sweep accepted a /99 report" >&2
             exit 1
         fi
-        grep -q "newer than this reader" "$WORKDIR/inspect_err.txt" || {
+        grep -q "the only version this reader supports" \
+                "$WORKDIR/inspect_err.txt" || {
             echo "FAIL: newer-schema diagnostic missing" >&2
             exit 1
         }

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <utility>
 
 using namespace sprof;
@@ -222,13 +223,6 @@ private:
 
 } // namespace
 
-PopulationRow sprof::classifyLoadPopulation(const Workload &W,
-                                            bool InLoopWanted,
-                                            const PipelineConfig &Config) {
-  PopulationRows Rows = classifyPopulationImpl(W, Config, /*Obs=*/nullptr);
-  return InLoopWanted ? Rows.InLoop : Rows.OutLoop;
-}
-
 std::vector<const Workload *> sprof::workloadPointers(
     const std::vector<std::unique_ptr<Workload>> &Suite) {
   std::vector<const Workload *> Ptrs;
@@ -376,12 +370,6 @@ std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
   return Results;
 }
 
-SensitivityMeasurement
-sprof::measureSensitivity(const Workload &W, const PipelineConfig &Config) {
-  ExperimentEngine Engine;
-  return std::move(measureSuiteSensitivity(Engine, {&W}, Config).front());
-}
-
 std::vector<BaselineMeasurement> sprof::measureSuiteBaselines(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config) {
@@ -469,12 +457,15 @@ JsonValue sprof::sensitivityMeasurementToJson(
   return J;
 }
 
-bool sprof::writeBenchRows(const std::string &Path,
-                           const std::string &Figure, JsonValue Rows) {
+namespace {
+
+/// Writes {"schema", "figure", \p Key: \p Body} to \p Path.
+bool writeReport(const std::string &Path, const std::string &Figure,
+                 const char *Key, JsonValue Body) {
   JsonValue Root = JsonValue::object();
   Root.set("schema", "sprof.bench_report/1");
   Root.set("figure", Figure);
-  Root.set("rows", std::move(Rows));
+  Root.set(Key, std::move(Body));
   if (!writeJsonFile(Path, Root)) {
     std::cerr << "error: could not write bench report to " << Path << "\n";
     return false;
@@ -483,22 +474,34 @@ bool sprof::writeBenchRows(const std::string &Path,
   return true;
 }
 
+/// `--json=PATH` overrides \p DefaultPath and `--no-json` disables the
+/// report (returns nullopt). Other arguments are ignored.
+std::optional<std::string> benchReportPath(int Argc, char **Argv,
+                                           const std::string &DefaultPath) {
+  std::optional<std::string> Path = DefaultPath;
+  for (int I = 1; I < Argc; ++I) {
+    if (std::strcmp(Argv[I], "--no-json") == 0)
+      Path = std::nullopt;
+    else if (std::strncmp(Argv[I], "--json=", 7) == 0)
+      Path = std::string(Argv[I] + 7);
+  }
+  return Path;
+}
+
+} // namespace
+
+bool sprof::writeBenchRows(const std::string &Path,
+                           const std::string &Figure, JsonValue Rows) {
+  return writeReport(Path, Figure, "rows", std::move(Rows));
+}
+
 bool sprof::writeBenchReport(
     const std::string &Path, const std::string &Figure,
     const std::vector<BenchMeasurement> &Measurements) {
-  JsonValue Root = JsonValue::object();
-  Root.set("schema", "sprof.bench_report/1");
-  Root.set("figure", Figure);
   JsonValue Benchmarks = JsonValue::array();
   for (const BenchMeasurement &BM : Measurements)
     Benchmarks.push(benchMeasurementToJson(BM));
-  Root.set("benchmarks", std::move(Benchmarks));
-  if (!writeJsonFile(Path, Root)) {
-    std::cerr << "error: could not write bench report to " << Path << "\n";
-    return false;
-  }
-  std::cerr << "bench report written to " << Path << "\n";
-  return true;
+  return writeReport(Path, Figure, "benchmarks", std::move(Benchmarks));
 }
 
 int sprof::emitBenchReport(int Argc, char **Argv,
@@ -520,18 +523,6 @@ int sprof::emitBenchReport(int Argc, char **Argv,
   return 0;
 }
 
-std::optional<std::string> sprof::benchReportPath(
-    int Argc, char **Argv, const std::string &DefaultPath) {
-  std::optional<std::string> Path = DefaultPath;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--no-json") == 0)
-      Path = std::nullopt;
-    else if (std::strncmp(Argv[I], "--json=", 7) == 0)
-      Path = std::string(Argv[I] + 7);
-  }
-  return Path;
-}
-
 unsigned sprof::benchThreads(int Argc, char **Argv, unsigned Default) {
   unsigned Threads = Default;
   auto Parse = [&](const char *Value) {
@@ -547,52 +538,4 @@ unsigned sprof::benchThreads(int Argc, char **Argv, unsigned Default) {
       Parse(Argv[++I]);
   }
   return Threads;
-}
-
-std::optional<double> sprof::paperFig16Speedup(const std::string &Bench) {
-  if (Bench == "181.mcf")
-    return 1.59;
-  if (Bench == "254.gap")
-    return 1.14;
-  if (Bench == "197.parser")
-    return 1.08;
-  return std::nullopt;
-}
-
-std::optional<double> sprof::paperFig20Overhead(ProfilingMethod Method) {
-  switch (Method) {
-  case ProfilingMethod::EdgeCheck:
-    return 0.58;
-  case ProfilingMethod::NaiveLoop:
-    return 2.72;
-  case ProfilingMethod::NaiveAll:
-    return 4.36;
-  case ProfilingMethod::SampleEdgeCheck:
-    return 0.17;
-  case ProfilingMethod::SampleNaiveLoop:
-    return 0.67;
-  case ProfilingMethod::SampleNaiveAll:
-    return 1.22;
-  default:
-    return std::nullopt;
-  }
-}
-
-std::optional<double> sprof::paperFig21Processed(ProfilingMethod Method) {
-  switch (Method) {
-  case ProfilingMethod::EdgeCheck:
-    return 11.0;
-  case ProfilingMethod::NaiveLoop:
-    return 60.0;
-  case ProfilingMethod::NaiveAll:
-    return 100.0;
-  case ProfilingMethod::SampleEdgeCheck:
-    return 1.0;
-  case ProfilingMethod::SampleNaiveLoop:
-    return 3.0;
-  case ProfilingMethod::SampleNaiveAll:
-    return 5.0;
-  default:
-    return std::nullopt;
-  }
 }

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the bench binaries that regenerate the paper's tables
-/// and figures: cached per-benchmark measurement bundles and the paper's
-/// published reference numbers for side-by-side output.
+/// The measurements behind the paper's tables and figures: per-benchmark
+/// measurement bundles, the engine-based suite drivers that compute them,
+/// and their sprof.bench_report/1 serialization.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "obs/Json.h"
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,9 +66,6 @@ struct PopulationRow {
   double SsstPct = 0, PmstPct = 0, WsstPct = 0, NonePct = 0;
 };
 
-PopulationRow classifyLoadPopulation(const Workload &W, bool InLoopWanted,
-                                     const PipelineConfig &Config = {});
-
 /// Figure 23-25 sensitivity bundle: speedups of four binaries built from
 /// the cross product of edge/stride profiles collected on the train and
 /// reference inputs, all measured on the reference input with
@@ -82,17 +78,14 @@ struct SensitivityMeasurement {
   double EdgeTrainStrideRef = 1.0; ///< edge.train + stride.ref
 };
 
-SensitivityMeasurement measureSensitivity(const Workload &W,
-                                          const PipelineConfig &Config = {});
-
 // -- Engine-based suite drivers -------------------------------------------
 //
 // Each expands the whole suite into one job graph on \p Engine, so
 // independent runs overlap across the engine's worker threads. Results are
-// identical to looping the single-workload helpers above, for any thread
-// count (every job rebuilds its own Program and owns its seed). Jobs go
-// through the engine's result memo: a job an earlier call on the same
-// engine already ran is not run again (docs/ENGINE.md "Result memo").
+// identical for any thread count (every job rebuilds its own Program and
+// owns its seed). Jobs go through the engine's result memo: a job an
+// earlier call on the same engine already ran is not run again
+// (docs/ENGINE.md "Result memo").
 
 /// Borrow raw pointers from an owning suite (makeSpecIntSuite) for the
 /// duration of an engine call.
@@ -127,9 +120,9 @@ measureSuiteBaselines(ExperimentEngine &Engine,
                       const PipelineConfig &Config = {});
 
 /// Machine-readable bench output. The bundles serialize under the stable
-/// schema "sprof.bench_report/1"; every figure bench can emit its raw
-/// measurements so downstream tooling (plots, regression gates) need not
-/// scrape the tables.
+/// schema "sprof.bench_report/1"; every figure's raw measurements are
+/// written this way so downstream tooling (plots, regression gates) need
+/// not scrape the tables.
 JsonValue methodMeasurementToJson(const MethodMeasurement &M);
 JsonValue benchMeasurementToJson(const BenchMeasurement &BM);
 JsonValue baselineMeasurementToJson(const BaselineMeasurement &BM);
@@ -149,18 +142,11 @@ bool writeBenchReport(const std::string &Path, const std::string &Figure,
 bool writeBenchRows(const std::string &Path, const std::string &Figure,
                     JsonValue Rows);
 
-/// Shared bench CLI convention: `--json=PATH` overrides \p DefaultPath and
-/// `--no-json` disables the report (returns nullopt). Unknown arguments
-/// are ignored.
-std::optional<std::string> benchReportPath(int Argc, char **Argv,
-                                           const std::string &DefaultPath);
-
-/// The shared tail of every bench main: resolve the report path from the
-/// CLI (benchReportPath), serialize, and map the outcome onto the process
-/// exit code -- 0 when the report was written or disabled (`--no-json`),
-/// 1 when it could not be written. One overload per row flavour; both
-/// funnel into writeBenchReport/writeBenchRows so every bench keeps the
-/// same schema and failure behaviour without hand-rolling the idiom.
+/// The shared tail of the ablation and trace-replay bench mains: resolve
+/// the report path from the CLI (`--json=PATH` overrides \p DefaultPath,
+/// `--no-json` disables the report, other arguments are ignored),
+/// serialize, and map the outcome onto the process exit code -- 0 when
+/// the report was written or disabled, 1 when it could not be written.
 int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
                     const std::string &Figure,
                     const std::vector<BenchMeasurement> &Measurements);
@@ -172,16 +158,6 @@ int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
 /// changes wall-clock time). Invalid or missing values fall back to
 /// \p Default.
 unsigned benchThreads(int Argc, char **Argv, unsigned Default = 1);
-
-/// Paper-published Figure 16 speedups (edge-check) where the text gives
-/// them explicitly; nullopt elsewhere.
-std::optional<double> paperFig16Speedup(const std::string &Bench);
-
-/// Paper-published Figure 20 average overheads per method.
-std::optional<double> paperFig20Overhead(ProfilingMethod Method);
-
-/// Paper-published Figure 21 average strideProf-processed percentages.
-std::optional<double> paperFig21Processed(ProfilingMethod Method);
 
 } // namespace sprof
 

@@ -39,22 +39,6 @@
 
 namespace sprof {
 
-/// Schema identifier of reports written before prefetch-outcome
-/// attribution existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV1 = "sprof.run_report/1";
-
-/// Schema identifier of reports written before the engine self-profile
-/// section existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV2 = "sprof.run_report/2";
-
-/// Schema identifier of reports written before the trace-capture section
-/// existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV3 = "sprof.run_report/3";
-
-/// Schema identifier of reports written before /5; still accepted by
-/// every reader.
-inline constexpr const char *RunReportSchemaV4 = "sprof.run_report/4";
-
 /// Schema identifier stamped into every run report.
 inline constexpr const char *RunReportSchemaV5 = "sprof.run_report/5";
 

@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Renders sprof telemetry artifacts (sprof.run_report/1..5 and
+/// Renders sprof telemetry artifacts (sprof.run_report/5 and
 /// sprof.timeseries/1) as tables, so an artifact on disk answers the
 /// questions people actually ask of it without jq gymnastics:
 ///
@@ -57,8 +57,8 @@
 ///       recorded events.
 ///
 /// Exit status: 0 on success, 1 on usage/IO/parse errors. Unknown
-/// subcommands, malformed JSON, wrong-schema inputs, and documents whose
-/// schema version is NEWER than this reader supports all diagnose to
+/// subcommands, malformed JSON, and documents of another kind or another
+/// schema version than the current one all diagnose to
 /// stderr and exit 1; they never crash or silently succeed.
 ///
 //===----------------------------------------------------------------------===//
@@ -66,6 +66,7 @@
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "obs/Report.h"
+#include "obs/Sampler.h"
 #include "obs/SweepReport.h"
 #include "profile/ProfileDiff.h"
 #include "stream/TraceFile.h"
@@ -73,6 +74,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -85,14 +87,14 @@ using namespace sprof;
 
 namespace {
 
-/// Loads \p Path, parses it, checks the "schema" member starts with
-/// \p SchemaPrefix, and rejects versions newer than \p MaxVersion — a /7
-/// document may carry sections whose invariants this reader predates, so
-/// skipping them silently would let a broken producer pass. Every failure
-/// mode (unreadable file, malformed JSON, wrong document kind, too-new
-/// version) prints a one-line diagnostic and returns false.
-bool loadDocument(const std::string &Path, const char *SchemaPrefix,
-                  unsigned MaxVersion, JsonValue &Out) {
+/// Loads \p Path, parses it, and checks that its "schema" member is
+/// exactly \p Schema: each document kind has one current version, and an
+/// older or newer one may lack or add sections whose invariants this
+/// reader does not know. Every failure mode (unreadable file, malformed
+/// JSON, another kind or version) prints a one-line diagnostic and
+/// returns false.
+bool loadDocument(const std::string &Path, const char *Schema,
+                  JsonValue &Out) {
   std::ifstream IS(Path);
   if (!IS) {
     std::cerr << "sprof-inspect: cannot open " << Path << "\n";
@@ -115,37 +117,20 @@ bool loadDocument(const std::string &Path, const char *SchemaPrefix,
               << ": top-level value is not an object\n";
     return false;
   }
-  const JsonValue *Schema = Out.get("schema");
-  if (!Schema || !Schema->isString() ||
-      Schema->asString().rfind(SchemaPrefix, 0) != 0) {
-    std::cerr << "sprof-inspect: " << Path << ": not a " << SchemaPrefix
-              << "* document (schema: "
-              << (Schema && Schema->isString() ? Schema->asString()
-                                               : std::string("<missing>"))
-              << ")\n";
-    return false;
-  }
-  const std::string &Full = Schema->asString();
-  char *End = nullptr;
-  unsigned long Version =
-      std::strtoul(Full.c_str() + std::strlen(SchemaPrefix), &End, 10);
-  if (!End || *End != '\0' || Version == 0) {
-    std::cerr << "sprof-inspect: " << Path << ": malformed schema version '"
-              << Full << "'\n";
-    return false;
-  }
-  if (Version > MaxVersion) {
-    std::cerr << "sprof-inspect: " << Path << ": schema " << Full
-              << " is newer than this reader supports (max "
-              << SchemaPrefix << MaxVersion
-              << "); upgrade sprof-inspect\n";
+  const JsonValue *Found = Out.get("schema");
+  if (!Found || !Found->isString() || Found->asString() != Schema) {
+    std::cerr << "sprof-inspect: " << Path << ": schema "
+              << (Found && Found->isString() ? Found->asString()
+                                             : std::string("<missing>"))
+              << " is not " << Schema
+              << ", the only version this reader supports\n";
     return false;
   }
   return true;
 }
 
 bool loadReport(const std::string &Path, JsonValue &Out) {
-  return loadDocument(Path, "sprof.run_report/", 5, Out);
+  return loadDocument(Path, RunReportSchemaV5, Out);
 }
 
 uint64_t uintAt(const JsonValue *Obj, const char *Key) {
@@ -447,7 +432,7 @@ std::string sparkline(const std::vector<double> &Values, size_t Width = 40) {
 
 int runTimeseries(const std::string &Path) {
   JsonValue Doc;
-  if (!loadDocument(Path, "sprof.timeseries/", 1, Doc))
+  if (!loadDocument(Path, TimeSeriesSchemaV1, Doc))
     return 1;
 
   const JsonValue *Ts = Doc.get("timestamps_us");
@@ -713,7 +698,7 @@ int runImport(const std::string &LogPath, const std::string &OutPath) {
 
 int runSweepReport(const std::string &Path, size_t TopN) {
   JsonValue Doc;
-  if (!loadDocument(Path, "sprof.sweep_report/", 1, Doc))
+  if (!loadDocument(Path, SweepReportSchemaV1, Doc))
     return 1;
 
   const JsonValue *Jobs = Doc.get("jobs");
@@ -813,7 +798,7 @@ int runSweepReport(const std::string &Path, size_t TopN) {
 
 int runBlackbox(const std::string &Path) {
   JsonValue Doc;
-  if (!loadDocument(Path, "sprof.flightrec/", 1, Doc))
+  if (!loadDocument(Path, FlightRecSchemaV1, Doc))
     return 1;
 
   std::cout << "flight recorder: " << Path << "\n";
