@@ -146,11 +146,21 @@ ProfileHandle queueChain(ExperimentEngine &Engine, const std::string &Tag,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  BenchCli Cli;
+  Cli.ReportPath = "bench_ablation.json";
+  if (!parseBenchCli(Argc, Argv, Cli)) {
+    std::cerr << "usage: bench_ablation [--threads=N] [--json=PATH | "
+                 "--no-json]\n";
+    return 2;
+  }
+
   // Every ablation below queues its runs on one engine graph; feedback-side
   // ablations (classifier/prefetch knobs) share the default train profile
   // of their benchmark instead of re-profiling per configuration, and all
   // independent runs overlap across --threads workers.
-  ExperimentEngine Engine({benchThreads(Argc, Argv)});
+  EngineOptions Options;
+  Options.Threads = Cli.Threads;
+  ExperimentEngine Engine(Options);
   const std::vector<std::string> Names = headliners();
   const size_t NH = Names.size();
 
@@ -410,6 +420,5 @@ int main(int Argc, char **Argv) {
   }
   Groups.set("allocation_noise", std::move(NoiseJ));
   Groups.set("use_distance_on", PerBench(UseDistOn));
-  return emitBenchReport(Argc, Argv, "bench_ablation.json", "ablation",
-                         std::move(Groups));
+  return emitBenchReport(Cli.ReportPath, "ablation", std::move(Groups));
 }

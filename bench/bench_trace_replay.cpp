@@ -19,8 +19,8 @@
 /// (scripts/bench_trajectory.py, "replay_events_per_sec").
 ///
 /// A second section measures parallel replay scaling: a large synthetic
-/// trace (default 10M events, `--scale-events N` overrides) replayed with
-/// one thread and with `--threads N` (default 8) workers through the /2
+/// trace (default 10M events, `--scale-events=N` overrides) replayed with
+/// one thread and with `--threads=N` (default 8) workers through the /2
 /// shard index + site-sharded profile path. The threaded replay's stride
 /// profile, invocation/processed/LFU counts, simulated cycles and event
 /// count must all equal the serial replay's, or the bench exits 1; the
@@ -38,7 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <iostream>
 #include <utility>
 
@@ -60,23 +60,25 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// `--scale-events=N` / `--scale-events N`: size of the synthetic scaling
-/// trace. CI passes a reduced value; the default is the acceptance bar's
-/// 10M-event shape.
-uint64_t scaleEvents(int Argc, char **Argv, uint64_t Default) {
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    if (std::strncmp(A, "--scale-events=", 15) == 0)
-      return std::strtoull(A + 15, nullptr, 10);
-    if (std::strcmp(A, "--scale-events") == 0 && I + 1 < Argc)
-      return std::strtoull(Argv[I + 1], nullptr, 10);
-  }
-  return Default;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // `--scale-events=N` sizes the synthetic scaling trace. CI passes a
+  // reduced value; the default is the acceptance bar's 10M-event shape.
+  BenchCli Cli;
+  Cli.Threads = 8;
+  Cli.ReportPath = "bench_trace_replay.json";
+  uint64_t ScaleLoads = 10'000'000;
+  auto ScaleArg = [&](std::string_view Arg) {
+    return Arg.starts_with("--scale-events=") &&
+           parseBenchCount(Arg.substr(15), 1, UINT64_MAX, ScaleLoads);
+  };
+  if (!parseBenchCli(Argc, Argv, Cli, ScaleArg)) {
+    std::cerr << "usage: bench_trace_replay [--threads=N] "
+                 "[--scale-events=N] [--json=PATH | --no-json]\n";
+    return 2;
+  }
+
   const ProfilingMethod Method = ProfilingMethod::EdgeCheck;
   constexpr int Reps = 3;
 
@@ -176,8 +178,7 @@ int main(int Argc, char **Argv) {
   // Parallel replay scaling: one big synthetic trace (mixed load/prefetch
   // kinds, so the Load filter is exercised), replayed serially and with
   // the thread pool over the /2 shard index.
-  const unsigned Threads = benchThreads(Argc, Argv, 8);
-  const uint64_t ScaleLoads = scaleEvents(Argc, Argv, 10'000'000);
+  const unsigned Threads = Cli.Threads;
   const std::string ScalePath =
       tmpDir() + "bench_trace_replay_scale.sprof.trace";
   uint64_t ScaleTraceEvents = 0;
@@ -295,6 +296,5 @@ int main(int Argc, char **Argv) {
       .set("scale_parallel_seconds", ParallelBest)
       .set("scale_bit_identical", ScaleIdentical)
       .set("benchmarks", std::move(Rows));
-  return emitBenchReport(Argc, Argv, "bench_trace_replay.json",
-                         "trace-replay", std::move(Doc));
+  return emitBenchReport(Cli.ReportPath, "trace-replay", std::move(Doc));
 }

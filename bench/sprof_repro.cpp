@@ -31,7 +31,7 @@
 #include "support/Stats.h"
 #include "support/Table.h"
 
-#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -412,11 +412,10 @@ bool parseArgs(int Argc, char **Argv, unsigned &Threads, Reports &Out) {
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
     if (Arg.starts_with("--threads=")) {
-      std::string_view Value = Arg.substr(10);
-      const char *End = Value.data() + Value.size();
-      auto [Ptr, Ec] = std::from_chars(Value.data(), End, Threads);
-      if (Ec != std::errc() || Ptr != End || Threads < 1 || Threads > 1024)
+      uint64_t N = 0;
+      if (!parseBenchCount(Arg.substr(10), 1, 1024, N))
         return false;
+      Threads = static_cast<unsigned>(N);
     } else if (Arg.starts_with("--out=") && Arg.size() > 6) {
       Out.Dir = Arg.substr(6);
     } else {

@@ -12,8 +12,8 @@
 #include "obs/Report.h"
 #include "support/Stats.h"
 
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -474,20 +474,6 @@ bool writeReport(const std::string &Path, const std::string &Figure,
   return true;
 }
 
-/// `--json=PATH` overrides \p DefaultPath and `--no-json` disables the
-/// report (returns nullopt). Other arguments are ignored.
-std::optional<std::string> benchReportPath(int Argc, char **Argv,
-                                           const std::string &DefaultPath) {
-  std::optional<std::string> Path = DefaultPath;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--no-json") == 0)
-      Path = std::nullopt;
-    else if (std::strncmp(Argv[I], "--json=", 7) == 0)
-      Path = std::string(Argv[I] + 7);
-  }
-  return Path;
-}
-
 } // namespace
 
 bool sprof::writeBenchRows(const std::string &Path,
@@ -504,38 +490,39 @@ bool sprof::writeBenchReport(
   return writeReport(Path, Figure, "benchmarks", std::move(Benchmarks));
 }
 
-int sprof::emitBenchReport(int Argc, char **Argv,
-                           const std::string &DefaultPath,
-                           const std::string &Figure,
-                           const std::vector<BenchMeasurement> &Measurements) {
-  if (auto Path = benchReportPath(Argc, Argv, DefaultPath))
-    if (!writeBenchReport(*Path, Figure, Measurements))
-      return 1;
-  return 0;
-}
-
-int sprof::emitBenchReport(int Argc, char **Argv,
-                           const std::string &DefaultPath,
+int sprof::emitBenchReport(const std::optional<std::string> &Path,
                            const std::string &Figure, JsonValue Rows) {
-  if (auto Path = benchReportPath(Argc, Argv, DefaultPath))
-    if (!writeBenchRows(*Path, Figure, std::move(Rows)))
-      return 1;
-  return 0;
+  return Path && !writeBenchRows(*Path, Figure, std::move(Rows)) ? 1 : 0;
 }
 
-unsigned sprof::benchThreads(int Argc, char **Argv, unsigned Default) {
-  unsigned Threads = Default;
-  auto Parse = [&](const char *Value) {
-    char *End = nullptr;
-    unsigned long N = std::strtoul(Value, &End, 10);
-    if (End != Value && *End == '\0' && N >= 1 && N <= 1024)
-      Threads = static_cast<unsigned>(N);
-  };
+bool sprof::parseBenchCount(std::string_view Text, uint64_t Min, uint64_t Max,
+                            uint64_t &Out) {
+  uint64_t N = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, N);
+  if (Ec != std::errc() || Ptr != End || N < Min || N > Max)
+    return false;
+  Out = N;
+  return true;
+}
+
+bool sprof::parseBenchCli(
+    int Argc, char **Argv, BenchCli &Cli,
+    const std::function<bool(std::string_view)> &Extra) {
   for (int I = 1; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      Parse(Argv[I] + 10);
-    else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc)
-      Parse(Argv[++I]);
+    std::string_view Arg = Argv[I];
+    if (Arg.starts_with("--threads=")) {
+      uint64_t N = 0;
+      if (!parseBenchCount(Arg.substr(10), 1, 1024, N))
+        return false;
+      Cli.Threads = static_cast<unsigned>(N);
+    } else if (Arg.starts_with("--json=") && Arg.size() > 7) {
+      Cli.ReportPath = std::string(Arg.substr(7));
+    } else if (Arg == "--no-json") {
+      Cli.ReportPath = std::nullopt;
+    } else if (!Extra || !Extra(Arg)) {
+      return false;
+    }
   }
-  return Threads;
+  return true;
 }

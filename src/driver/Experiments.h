@@ -19,8 +19,12 @@
 #include "driver/Pipeline.h"
 #include "obs/Json.h"
 
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sprof {
@@ -142,22 +146,36 @@ bool writeBenchReport(const std::string &Path, const std::string &Figure,
 bool writeBenchRows(const std::string &Path, const std::string &Figure,
                     JsonValue Rows);
 
-/// The shared tail of the ablation and trace-replay bench mains: resolve
-/// the report path from the CLI (`--json=PATH` overrides \p DefaultPath,
-/// `--no-json` disables the report, other arguments are ignored),
-/// serialize, and map the outcome onto the process exit code -- 0 when
-/// the report was written or disabled, 1 when it could not be written.
-int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
-                    const std::string &Figure,
-                    const std::vector<BenchMeasurement> &Measurements);
-int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
-                    const std::string &Figure, JsonValue Rows);
+/// Parses \p Text as a whole decimal number in [\p Min, \p Max] into
+/// \p Out. \returns false (leaving \p Out alone) on an empty string, a
+/// sign, trailing characters, or an out-of-range value.
+bool parseBenchCount(std::string_view Text, uint64_t Min, uint64_t Max,
+                     uint64_t &Out);
 
-/// Shared bench CLI convention: `--threads=N` or `--threads N` selects the
-/// engine's worker count (results are thread-count-invariant; this only
-/// changes wall-clock time). Invalid or missing values fall back to
-/// \p Default.
-unsigned benchThreads(int Argc, char **Argv, unsigned Default = 1);
+/// The strict command line shared by the ablation and trace-replay bench
+/// mains: `--threads=N` (1..1024) sets the engine's worker count (results
+/// are thread-count-invariant; this only changes wall-clock time),
+/// `--json=PATH` overrides the report path and `--no-json` disables the
+/// report.
+struct BenchCli {
+  unsigned Threads = 1;
+  std::optional<std::string> ReportPath; ///< nullopt: no report
+};
+
+/// Parses the BenchCli options into \p Cli, whose fields hold the
+/// defaults on entry. Any other argument goes to \p Extra, which returns
+/// whether it accepted it. \returns false on the first argument that is
+/// neither a well-formed BenchCli option nor accepted by \p Extra; the
+/// caller prints its usage line and exits 2.
+bool parseBenchCli(int Argc, char **Argv, BenchCli &Cli,
+                   const std::function<bool(std::string_view)> &Extra = {});
+
+/// The shared tail of the ablation and trace-replay bench mains: serialize
+/// to \p Path (nullopt: skip the report) and map the outcome onto the
+/// process exit code -- 0 when the report was written or disabled, 1 when
+/// it could not be written.
+int emitBenchReport(const std::optional<std::string> &Path,
+                    const std::string &Figure, JsonValue Rows);
 
 } // namespace sprof
 

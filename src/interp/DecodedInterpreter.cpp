@@ -13,7 +13,7 @@
 // SPROF_OP/SPROF_NEXT/SPROF_JUMP macros below, so the semantics cannot
 // drift apart.
 //
-// Three engine-wide invariants keep the per-instruction overhead down
+// Two engine-wide invariants keep the per-instruction overhead down
 // without giving up bit-identical accounting:
 //
 //  * The current cycle count is never materialized in the loop. The
@@ -24,10 +24,6 @@
 //
 //  * Operands are frame-slot indices (see DecodedProgram.h): register and
 //    immediate reads are the same unconditional indexed load.
-//
-//  * Hot adjacent ALU pairs are fused into superinstructions at decode
-//    time; a fused handler executes both halves with one dispatch while
-//    counting and charging them as two instructions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,13 +43,10 @@ using namespace sprof;
 #define SPROF_COMPUTED_GOTO 0
 #endif
 
-// The label table below must list one handler per dispatch opcode, base
-// opcodes first, fused superinstructions after, each set in enum order.
-static_assert(NumOpcodes == 29,
+// The label table below must list one handler per base opcode in enum
+// order, followed by the Predicated slot.
+static_assert(NumOpcodes == 29 && NumDispatchOps == 30,
               "opcode set changed: update the Decoded engine's handlers");
-static_assert(static_cast<unsigned>(FusedOp::MovMov) == NumOpcodes &&
-                  NumDispatchOps == 52,
-              "fused-op set changed: update the Decoded engine's handlers");
 
 /// Once-per-window slow path of the sampled dispatch prologue: records the
 /// sample and returns the re-armed NextStop. Kept out of line and cold so
@@ -145,7 +138,7 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
   // check: NextStop is the nearer of the fuel limit and the next sample
   // point, so the hot path stays one compare-and-branch whether or not
   // sampling is on. Which instructions get sampled (every SPWindow
-  // committed instructions, give or take fused-pair overshoot) is a
+  // committed instructions) is a
   // deterministic function of the instruction stream. Sampled and
   // unsampled runs share this one instantiation — every dispatch tail
   // branches to a single cold stop block (sp_stop) that sorts out fuel
@@ -181,112 +174,19 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
       BaseCyc += C_;                                                         \
   } while (0)
 
-// One instruction's full semantics (effects + its own cycle charge),
-// shared between the single-op and the fused handlers. P is a const DInst*
-// pointing at the instruction being executed.
-#define SPROF_STEP_Mov(P)                                                    \
-  do {                                                                       \
-    Regs[(P)->Dst] = Regs[(P)->A];                                           \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-  } while (0)
 // Add and Load are the producers the decode-time pointer analysis flags
 // (DInst::PrefetchDst): when the result is an address the program will
 // dereference later, start pulling its line into the host cache now. Rare
 // and perfectly predicted when not taken; no simulated effect when taken.
-#define SPROF_STEP_PREFETCH_HINT(P)                                          \
+#define SPROF_PREFETCH_HINT()                                                \
   do {                                                                       \
-    if (__builtin_expect((P)->PrefetchDst, 0)) {                             \
-      uint64_t Hint_ = static_cast<uint64_t>(Regs[(P)->Dst]);                \
+    if (__builtin_expect(I->PrefetchDst, 0)) {                               \
+      uint64_t Hint_ = static_cast<uint64_t>(Regs[I->Dst]);                  \
       Memory.prefetchHost(Hint_);                                            \
       if constexpr (HasMem)                                                  \
         Mem->prefetchLanes(Hint_);                                           \
     }                                                                        \
   } while (0)
-
-#define SPROF_STEP_Add(P)                                                    \
-  do {                                                                       \
-    Regs[(P)->Dst] = wrapAdd(Regs[(P)->A], Regs[(P)->B]);                    \
-    SPROF_STEP_PREFETCH_HINT(P);                                             \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-  } while (0)
-#define SPROF_STEP_Shl(P)                                                    \
-  do {                                                                       \
-    Regs[(P)->Dst] = static_cast<int64_t>(                                   \
-        static_cast<uint64_t>(Regs[(P)->A]) << (Regs[(P)->B] & 63));         \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-  } while (0)
-#define SPROF_STEP_Shr(P)                                                    \
-  do {                                                                       \
-    Regs[(P)->Dst] = Regs[(P)->A] >> (Regs[(P)->B] & 63);                    \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-  } while (0)
-#define SPROF_STEP_And(P)                                                    \
-  do {                                                                       \
-    Regs[(P)->Dst] = Regs[(P)->A] & Regs[(P)->B];                            \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-  } while (0)
-#define SPROF_STEP_Xor(P)                                                    \
-  do {                                                                       \
-    Regs[(P)->Dst] = Regs[(P)->A] ^ Regs[(P)->B];                            \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-  } while (0)
-// The full Load semantics: value read, base-cost charge, cache-hierarchy
-// latency (the pipeline hides an L1-hit's worth; the rest stalls), and the
-// per-site reference counts the profiles are built from.
-#define SPROF_STEP_Load(P)                                                   \
-  do {                                                                       \
-    uint64_t Addr_ = static_cast<uint64_t>(wrapAdd(Regs[(P)->A], (P)->Imm)); \
-    if constexpr (HasMem)                                                    \
-      Mem->prefetchLanes(Addr_);                                             \
-    Regs[(P)->Dst] = Memory.read64(Addr_);                                   \
-    SPROF_STEP_PREFETCH_HINT(P);                                             \
-    SPROF_CHARGE(TM.LoadBaseCost);                                           \
-    if constexpr (HasMem) {                                                  \
-      uint64_t Latency_ = Mem->demandAccess(Addr_, SPROF_NOW(), (P)->SiteId); \
-      uint64_t Hidden_ = TM.FlatLoadLatency;                                 \
-      uint64_t Stall_ = Latency_ > Hidden_ ? Latency_ - Hidden_ : 0;         \
-      MemStall += Stall_;                                                    \
-    }                                                                        \
-    if (!(P)->IsInstrumentation) {                                           \
-      ++LoadRefs;                                                            \
-      if ((P)->SiteId != NoId)                                               \
-        ++SiteCounts[(P)->SiteId];                                           \
-    }                                                                        \
-  } while (0)
-
-// A fused pair executes both halves on one dispatch but stays two
-// instructions for counting, truncation, and cycle purposes. Fusion only
-// happens when both halves share an attribution bucket and neither is
-// predicated, so the second half needs no predicate or bucket logic; the
-// truncation check between the halves replicates the reference loop's
-// fetch-boundary check exactly.
-#define SPROF_FUSED2(NAME, OP1, OP2)                                         \
-  SPROF_FOP(NAME) {                                                          \
-    SPROF_STEP_##OP1(I);                                                     \
-    if (__builtin_expect(NInsts >= MaxInstructions, 0))                      \
-      goto run_done;                                                         \
-    ++NInsts;                                                                \
-    SPROF_STEP_##OP2((I + 1));                                               \
-    ++I;                                                                     \
-    SPROF_NEXT();                                                            \
-  }
-
-// Compare fused with the conditional branch consuming it (loop back-edges
-// and guards). The branch half reads its own condition slot, so the pair
-// fuses even when the branch tests something other than the compare's Dst.
-#define SPROF_FUSED_CMPBR(NAME, REL)                                         \
-  SPROF_FOP(NAME) {                                                          \
-    Regs[I->Dst] = Regs[I->A] REL Regs[I->B];                                \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-    if (__builtin_expect(NInsts >= MaxInstructions, 0))                      \
-      goto run_done;                                                         \
-    ++NInsts;                                                                \
-    const DInst *J_ = I + 1;                                                 \
-    SPROF_CHARGE(TM.DefaultCost);                                            \
-    ++Tally.Branches;                                                        \
-    I = Code + (Regs[J_->A] != 0 ? J_->target0() : J_->target1());           \
-    SPROF_JUMP();                                                            \
-  }
 
 #if SPROF_COMPUTED_GOTO
 
@@ -299,12 +199,6 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
       &&H_Jmp,      &&H_Br,       &&H_Call,     &&H_Ret,
       &&H_Halt,     &&H_ProfCounterInc,         &&H_ProfCounterRead,
       &&H_ProfCounterAddTo,       &&H_ProfStride,
-      &&H_F_MovMov, &&H_F_AddAdd, &&H_F_AddShl, &&H_F_AddXor,
-      &&H_F_ShlAdd, &&H_F_ShlXor, &&H_F_ShrXor, &&H_F_AndShl,
-      &&H_F_XorShl, &&H_F_XorShr, &&H_F_XorAnd, &&H_F_AddLoad,
-      &&H_F_AndLoad,&&H_F_LoadAdd,&&H_F_LoadAnd,&&H_F_LoadXor,
-      &&H_F_LoadShl,&&H_F_LoadLoad,             &&H_F_CmpNeBr,
-      &&H_F_CmpLtBr,&&H_F_CallInlined,          &&H_F_RetInlined,
       &&H_Predicated};
 
 // Fetch/decode prologue, replicated at every dispatch site. Predicate
@@ -319,7 +213,6 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
   } while (0)
 
 #define SPROF_OP(name) H_##name:
-#define SPROF_FOP(name) H_F_##name:
 #define SPROF_NEXT()                                                         \
   do {                                                                       \
     ++I;                                                                     \
@@ -346,7 +239,6 @@ H_Predicated:
 #else // switch fallback
 
 #define SPROF_OP(name) case static_cast<uint8_t>(Opcode::name):
-#define SPROF_FOP(name) case static_cast<uint8_t>(FusedOp::name):
 #define SPROF_NEXT()                                                         \
   do {                                                                       \
     ++I;                                                                     \
@@ -364,7 +256,7 @@ next_inst:
     }
     ++NInsts;
     uint8_t DOp = I->DOp;
-    if (DOp == static_cast<uint8_t>(FusedOp::Predicated)) {
+    if (DOp == PredicatedDOp) {
       if (Regs[I->Pred] == 0) {
         SPROF_CHARGE(TM.PredicatedOffCost);
         ++Tally.PredSquashed;
@@ -378,11 +270,14 @@ next_inst:
 #endif
 
     SPROF_OP(Mov) {
-      SPROF_STEP_Mov(I);
+      Regs[I->Dst] = SPROF_VAL(I->A);
+      SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(Add) {
-      SPROF_STEP_Add(I);
+      Regs[I->Dst] = wrapAdd(SPROF_VAL(I->A), SPROF_VAL(I->B));
+      SPROF_PREFETCH_HINT();
+      SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(Sub) {
@@ -396,15 +291,19 @@ next_inst:
       SPROF_NEXT();
     }
     SPROF_OP(Shl) {
-      SPROF_STEP_Shl(I);
+      Regs[I->Dst] = static_cast<int64_t>(static_cast<uint64_t>(SPROF_VAL(I->A))
+                                          << (SPROF_VAL(I->B) & 63));
+      SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(Shr) {
-      SPROF_STEP_Shr(I);
+      Regs[I->Dst] = SPROF_VAL(I->A) >> (SPROF_VAL(I->B) & 63);
+      SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(And) {
-      SPROF_STEP_And(I);
+      Regs[I->Dst] = SPROF_VAL(I->A) & SPROF_VAL(I->B);
+      SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(Or) {
@@ -413,7 +312,8 @@ next_inst:
       SPROF_NEXT();
     }
     SPROF_OP(Xor) {
-      SPROF_STEP_Xor(I);
+      Regs[I->Dst] = SPROF_VAL(I->A) ^ SPROF_VAL(I->B);
+      SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(CmpEq) {
@@ -453,7 +353,25 @@ next_inst:
     }
 
     SPROF_OP(Load) {
-      SPROF_STEP_Load(I);
+      // Value read, base-cost charge, cache-hierarchy latency (the pipeline
+      // hides an L1-hit's worth; the rest stalls), and the per-site
+      // reference counts the profiles are built from.
+      uint64_t Addr = static_cast<uint64_t>(wrapAdd(SPROF_VAL(I->A), I->Imm));
+      if constexpr (HasMem)
+        Mem->prefetchLanes(Addr);
+      Regs[I->Dst] = Memory.read64(Addr);
+      SPROF_PREFETCH_HINT();
+      SPROF_CHARGE(TM.LoadBaseCost);
+      if constexpr (HasMem) {
+        uint64_t Latency = Mem->demandAccess(Addr, SPROF_NOW(), I->SiteId);
+        uint64_t Hidden = TM.FlatLoadLatency;
+        MemStall += Latency > Hidden ? Latency - Hidden : 0;
+      }
+      if (!I->IsInstrumentation) {
+        ++LoadRefs;
+        if (I->SiteId != NoId)
+          ++SiteCounts[I->SiteId];
+      }
       SPROF_NEXT();
     }
     SPROF_OP(Store) {
@@ -606,58 +524,12 @@ next_inst:
       SPROF_NEXT();
     }
 
-    SPROF_FUSED2(MovMov, Mov, Mov)
-    SPROF_FUSED2(AddAdd, Add, Add)
-    SPROF_FUSED2(AddShl, Add, Shl)
-    SPROF_FUSED2(AddXor, Add, Xor)
-    SPROF_FUSED2(ShlAdd, Shl, Add)
-    SPROF_FUSED2(ShlXor, Shl, Xor)
-    SPROF_FUSED2(ShrXor, Shr, Xor)
-    SPROF_FUSED2(AndShl, And, Shl)
-    SPROF_FUSED2(XorShl, Xor, Shl)
-    SPROF_FUSED2(XorShr, Xor, Shr)
-    SPROF_FUSED2(XorAnd, Xor, And)
-    SPROF_FUSED2(AddLoad, Add, Load)
-    SPROF_FUSED2(AndLoad, And, Load)
-    SPROF_FUSED2(LoadAdd, Load, Add)
-    SPROF_FUSED2(LoadAnd, Load, And)
-    SPROF_FUSED2(LoadXor, Load, Xor)
-    SPROF_FUSED2(LoadShl, Load, Shl)
-    SPROF_FUSED2(LoadLoad, Load, Load)
-    SPROF_FUSED_CMPBR(CmpNeBr, !=)
-    SPROF_FUSED_CMPBR(CmpLtBr, <)
-
-    // Decode-time inlined call: the callee's body follows this instruction
-    // in the code stream with its registers living in a window of the
-    // current frame (A = window base, C = callee register count). No frame
-    // is pushed, but counting, charging, and the call-depth tally mirror
-    // the real Call exactly.
-    SPROF_FOP(CallInlined) {
-      SPROF_CHARGE(TM.CallCost);
-      int64_t *W = Regs + I->A;
-      for (uint32_t R_ = 0; R_ != I->C; ++R_)
-        W[R_] = 0;
-      const uint32_t *Args = ArgPool + I->argsBase();
-      for (unsigned A_ = 0; A_ != I->NumArgs; ++A_)
-        W[A_] = Regs[Args[A_]];
-      ++Tally.Calls;
-      if (Frames.size() + 1 > Tally.MaxDepth)
-        Tally.MaxDepth = Frames.size() + 1;
-      SPROF_NEXT();
-    }
-    SPROF_FOP(RetInlined) {
-      SPROF_CHARGE(TM.RetCost);
-      if (I->Dst != NoReg)
-        Regs[I->Dst] = Regs[I->A];
-      SPROF_NEXT();
-    }
-
 #if SPROF_COMPUTED_GOTO
 
   // The shared slow half of the dispatch prologue: every replicated
   // dispatch tail branches here when NInsts reaches NextStop. One cold
   // block (and one selfProfStop call site) for the whole loop, so the
-  // ~50 hot tails stay a compare-and-branch each and carry no call.
+  // ~30 hot tails stay a compare-and-branch each and carry no call.
 sp_stop:
   if (NInsts >= MaxInstructions || !SelfProf)
     goto run_done;
@@ -697,18 +569,8 @@ run_done:
 #undef SPROF_VAL
 #undef SPROF_NOW
 #undef SPROF_CHARGE
-#undef SPROF_STEP_PREFETCH_HINT
-#undef SPROF_STEP_Mov
-#undef SPROF_STEP_Add
-#undef SPROF_STEP_Shl
-#undef SPROF_STEP_Shr
-#undef SPROF_STEP_And
-#undef SPROF_STEP_Xor
-#undef SPROF_STEP_Load
-#undef SPROF_FUSED2
-#undef SPROF_FUSED_CMPBR
+#undef SPROF_PREFETCH_HINT
 #undef SPROF_OP
-#undef SPROF_FOP
 #undef SPROF_NEXT
 #undef SPROF_JUMP
 #if SPROF_COMPUTED_GOTO

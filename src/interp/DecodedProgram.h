@@ -47,7 +47,7 @@ struct DInst {
   /// issues a host-level prefetch of the produced address -- pure host
   /// latency hiding, no effect on any simulated state.
   uint8_t PrefetchDst : 1 = 0;
-  uint8_t DOp = 0; ///< dispatch index: Op, or a FusedOp superinstruction
+  uint8_t DOp = 0; ///< dispatch index: Op, or PredicatedDOp
   uint32_t Dst = NoReg;
   uint32_t Pred = NoReg;
   uint32_t SiteId = NoId;
@@ -71,64 +71,18 @@ struct DInst {
 
 static_assert(sizeof(DInst) <= 40, "DInst grew past one half cache line");
 
-/// Decode-time superinstructions: adjacent unpredicated ALU pairs inside
-/// one block fuse into a single dispatch (the second instruction stays in
-/// the code array, where the fused handler reads its fields from I + 1).
-/// The pair set covers the hot sequences of the synthetic SPECINT loops --
-/// xorshift RNG chains (shl/shr/xor/and) and accumulate chains (add) -- and
-/// fusing is purely an encoding: counts and cycle accounting still see two
-/// instructions. DInst::DOp holds either an Opcode or one of these.
-enum class FusedOp : uint8_t {
-  MovMov = NumOpcodes,
-  AddAdd,
-  AddShl,
-  AddXor,
-  ShlAdd,
-  ShlXor,
-  ShrXor,
-  AndShl,
-  XorShl,
-  XorShr,
-  XorAnd,
-  // ALU/Load combinations (address-compute + dereference chains).
-  AddLoad,
-  AndLoad,
-  LoadAdd,
-  LoadAnd,
-  LoadXor,
-  LoadShl,
-  LoadLoad,
-  // Compare + conditional branch (loop back-edges and guards).
-  CmpNeBr,
-  CmpLtBr,
-  // Decode-time call inlining. A call to a straight-line leaf function is
-  // rewritten as CallInlined followed by the callee's body spliced into the
-  // caller's stream, with callee registers remapped into a private window
-  // of the caller's frame; the callee's Ret becomes RetInlined. No frame is
-  // pushed or popped at run time, but both pseudo-ops count, charge, and
-  // tally exactly as the real Call/Ret would (including simulated call
-  // depth), so accounting stays bit-identical to the reference engine.
-  // CallInlined carries: A = window base slot, B = argsBase, C = callee
-  // register count. RetInlined carries: A = return-value slot, Dst = the
-  // call's result register (possibly NoReg).
-  CallInlined,
-  RetInlined,
-  // Every instruction with a qualifying predicate dispatches here instead
-  // of to its base opcode, so the hot dispatch path carries no per-
-  // instruction predicate test at all: the Predicated handler evaluates
-  // Pred and either takes the squash path or tail-jumps to the Op handler.
-  // Assigned as a final decode pass; fusion never pairs predicated
-  // instructions, so a Predicated DOp is always a lone base opcode.
-  Predicated,
-};
+/// The one dispatch slot past the base opcodes. Every instruction with a
+/// qualifying predicate dispatches here instead of to its base opcode, so
+/// the hot dispatch path carries no per-instruction predicate test at all:
+/// the Predicated handler evaluates Pred and either takes the squash path
+/// or tail-jumps to the Op handler.
+constexpr uint8_t PredicatedDOp = NumOpcodes;
 
-/// Total dispatch-table size: base opcodes + fused superinstructions.
-constexpr unsigned NumDispatchOps =
-    static_cast<unsigned>(FusedOp::Predicated) + 1;
+/// Total dispatch-table size: base opcodes + the Predicated slot.
+constexpr unsigned NumDispatchOps = NumOpcodes + 1;
 
-/// Printable name of a dispatch op (base opcode or fused
-/// superinstruction), e.g. "Load", "CmpLtBr". "op<N>" for out-of-range
-/// values.
+/// Printable name of a dispatch op (base opcode or Predicated), e.g.
+/// "Load". "op?" for out-of-range values.
 const char *dispatchOpName(uint8_t DOp);
 
 /// The full NumDispatchOps-sized name table, indexed by DInst::DOp. The

@@ -59,7 +59,7 @@ struct ObsConfig {
   std::string TimeSeriesOutputPath;
 
   /// Run the decoded engine's window-sampled self-profiler (per-opcode /
-  /// per-superinstruction / per-phase host-cycle attribution).
+  /// per-phase host-cycle attribution).
   bool SelfProfile = false;
 
   /// Self-profiler sampling window in dispatches.

@@ -19,8 +19,8 @@
 ///
 /// Samples accumulate per (workload, phase) context -- the pipeline labels
 /// its profile/baseline/timed runs -- and per slot, where a slot is one
-/// dispatch op of the decoded engine (a base opcode or a fused
-/// superinstruction). The engine installs its slot-name table at attach
+/// dispatch op of the decoded engine (a base opcode or the Predicated
+/// slot). The engine installs its slot-name table at attach
 /// time, which keeps this class free of interpreter dependencies.
 ///
 /// Export: writeFolded emits one `workload;phase;op count` line per nonzero

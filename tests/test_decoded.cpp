@@ -11,8 +11,7 @@
 /// same telemetry tallies, for every workload and profiling method. These
 /// tests enforce the contract differentially, including the places the
 /// engines are structurally most different: instruction-count truncation
-/// landing between the halves of a fused superinstruction, and calls that
-/// decode-time inlining turned into spliced bodies.
+/// at every Call/Ret boundary, and the batched stride ring.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,7 +113,7 @@ TEST(DecodedEngine, ProfilesMatchReferenceAcrossSuite) {
 }
 
 // Every profiling method, on the workload with the most call/indirection
-// structure (mcf: pointer chase + two inlinable helpers).
+// structure (mcf: pointer chase + two leaf helpers).
 TEST(DecodedEngine, ProfilesMatchReferenceAcrossMethods) {
   std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
   ASSERT_NE(W, nullptr);
@@ -257,9 +256,8 @@ TEST(DecodedEngine, AttributionSumsExactlyAcrossSuite) {
   }
 }
 
-/// A loop whose body calls a two-load leaf helper: the decoder inlines the
-/// call, so the spliced body, its register window, and its RetInlined all
-/// sit inside the loop.
+/// A loop whose body calls a two-load leaf helper, so a real Call, the
+/// callee's frame, and its Ret all sit inside the loop.
 Module makeCallChaseModule() {
   Module M;
   M.Name = "chase.call";
@@ -314,9 +312,9 @@ SimMemory makeCallChaseMemory() {
 }
 
 // The engines must agree for EVERY MaxInstructions value, not just at
-// natural stopping points: a truncation budget can expire between the two
-// halves of a fused pair or in the middle of an inlined callee body, and
-// the Decoded engine has explicit code for both boundaries.
+// natural stopping points: a truncation budget can expire on a Call, inside
+// the callee's frame, or on its Ret, where the Decoded engine's pooled
+// frames and the Reference engine's call stack differ most.
 TEST(DecodedEngine, TruncationMatchesAtEveryBoundary) {
   uint32_t DataSite = 0, NextSite = 0;
   Module Chase = makeChaseModule(DataSite, NextSite);
@@ -347,8 +345,7 @@ TEST(DecodedEngine, TruncationMatchesAtEveryBoundary) {
 }
 
 // The opcode-mix tallies both engines flush into telemetry (including the
-// simulated call depth, which the Decoded engine tracks without pushing
-// frames for inlined calls).
+// call depth, which the Decoded engine tracks on its pooled frames).
 TEST(DecodedEngine, TelemetryTalliesMatch) {
   std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
   ASSERT_NE(W, nullptr);
@@ -456,25 +453,21 @@ TEST(DecodedEngine, SelfProfilerIsDeterministicAndNonPerturbing) {
   EXPECT_EQ(Top2, "mul");
 }
 
-// White-box checks of the decoded form itself: the leaf helper call is
-// inlined, and the pointer-chase load carries the prefetch-hint flag the
-// decode-time dataflow pass derives.
-TEST(DecodedEngine, DecoderInlinesLeafCallsAndFlagsPointerLoads) {
+// White-box checks of the decoded form itself: the leaf helper call stays
+// a real Call to the helper, and the pointer-chase load carries the
+// prefetch-hint flag the decode-time dataflow pass derives.
+TEST(DecodedEngine, DecoderFlagsPointerLoads) {
   Module M = makeCallChaseModule();
   DecodedProgram DP(M);
 
-  bool SawCallInlined = false, SawRetInlined = false, SawRealCall = false;
-  for (const DInst &D : DP.code()) {
-    if (D.DOp == static_cast<uint8_t>(FusedOp::CallInlined))
-      SawCallInlined = true;
-    if (D.DOp == static_cast<uint8_t>(FusedOp::RetInlined))
-      SawRetInlined = true;
-    if (D.DOp == static_cast<uint8_t>(Opcode::Call))
-      SawRealCall = true;
-  }
-  EXPECT_TRUE(SawCallInlined);
-  EXPECT_TRUE(SawRetInlined);
-  EXPECT_FALSE(SawRealCall); // the only call site qualifies for inlining
+  unsigned RealCalls = 0;
+  for (const DInst &D : DP.code())
+    if (D.DOp == static_cast<uint8_t>(Opcode::Call)) {
+      ++RealCalls;
+      EXPECT_EQ(D.callee(), 0u); // probe
+      EXPECT_EQ(D.NumArgs, 1u);
+    }
+  EXPECT_EQ(RealCalls, 1u);
 
   // The `p = p->next` load feeds the next iteration's dereferences (and
   // the helper's parameter), so its producer must carry the hint.
@@ -542,7 +535,7 @@ TEST(DecodedEngine, ProgramCacheKeyIsContentNotName) {
 // IR integer arithmetic wraps modulo 2^64 (docs/IR.md). Each case returns
 // one overflowing result as the entry function's value; both engines must
 // produce the two's-complement wrap. The last case chains two adjacent
-// adds, which the decoder fuses into one AddAdd handler.
+// adds.
 TEST(DecodedEngine, ArithmeticWrapsOnOverflow) {
   constexpr int64_t Max = std::numeric_limits<int64_t>::max();
   constexpr int64_t Min = std::numeric_limits<int64_t>::min();
@@ -581,11 +574,6 @@ TEST(DecodedEngine, ArithmeticWrapsOnOverflow) {
   Reg Y = B.add(Operand::reg(X), Operand::imm(1));
   Reg Z = B.add(Operand::reg(Y), Operand::imm(Min));
   B.ret(Operand::reg(Z));
-  DecodedProgram DP(M);
-  bool Fused = false;
-  for (const DInst &D : DP.code())
-    Fused |= D.DOp == static_cast<uint8_t>(FusedOp::AddAdd);
-  EXPECT_TRUE(Fused);
   for (InterpreterConfig::Engine E : {InterpreterConfig::Engine::Reference,
                                       InterpreterConfig::Engine::Decoded}) {
     Interpreter I(M, SimMemory(), TimingModel(), interpConfig(E));
