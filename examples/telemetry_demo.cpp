@@ -168,7 +168,7 @@ int main(int Argc, char **Argv) {
             << Suite.Cycles << " cycles total\n";
 
   JsonValue Report = buildRunReport(Demo.info().Name, P.config(), &Prof,
-                                    &Timed, &Baseline, P.obs(), {}, &Diff);
+                                    &Timed, &Baseline, P.obs(), &Diff);
   if (!writeJsonFile(ReportPath, Report)) {
     std::cerr << "error: cannot write " << ReportPath << "\n";
     return 1;

@@ -18,29 +18,16 @@
 
 using namespace sprof;
 
-const SweepCell *SweepResult::find(const Workload *W, ProfilingMethod Method,
-                                   DataSet ProfileDS,
-                                   uint64_t SeedOffset) const {
-  for (const SweepCell &Cell : Cells)
-    if (Cell.W == W && Cell.Method == Method &&
-        Cell.ProfileDS == ProfileDS && Cell.SeedOffset == SeedOffset)
-      return &Cell;
-  return nullptr;
-}
-
 ExperimentEngine::ExperimentEngine(EngineOptions Opts)
     : Opts(std::move(Opts)) {
   if (this->Opts.Threads == 0)
     this->Opts.Threads = 1;
   if (this->Opts.Obs.Enabled)
     Session = std::make_unique<ObsSession>(this->Opts.Obs);
-  if (Session && this->Opts.Obs.CollectMetrics && this->Opts.ShardedMetrics)
-    Shards = std::make_unique<ShardedMetricsRegistry>(this->Opts.Threads);
   if (this->Opts.Obs.FlightRecorder) {
-    Recorder = std::make_unique<FlightRecorder>(
-        this->Opts.Threads, this->Opts.Obs.FlightRecorderRingSize);
-    if (this->Opts.Obs.FlightRecorderSignals)
-      Recorder->installSignalDump(this->Opts.Obs.FlightRecorderDumpPath);
+    Recorder = std::make_unique<FlightRecorder>(this->Opts.Threads,
+                                                /*RingSize=*/64);
+    Recorder->installSignalDump(this->Opts.Obs.FlightRecorderDumpPath);
   }
 }
 
@@ -152,26 +139,15 @@ JobId ExperimentEngine::addJob(std::string Name, std::string Category,
           JobObs[Index] = std::make_unique<ObsSession>(S->jobConfig());
           Scope = JobObs[Index].get();
         }
-        // Sharded aggregation: fold this job's counters/histograms into
-        // the executing worker's private shard while still on the worker
-        // thread -- single shard owner, so no lock is ever contended. The
-        // fold must also run when the job throws, mirroring the direct
-        // path (which merges failed jobs' partial metrics too).
-        MetricsRegistry *Shard =
-            Scope && Shards ? &Shards->shard(Worker) : nullptr;
         try {
           Fn(Scope);
         } catch (...) {
-          if (Shard)
-            Shard->merge(Scope->registry());
           if (FR) {
             FR->jobFinish(Worker, FRName.c_str(), /*Ok=*/false);
             FlightRecorder::unbindThread();
           }
           throw;
         }
-        if (Shard)
-          Shard->merge(Scope->registry());
         if (FR) {
           FR->jobFinish(Worker, FRName.c_str(), /*Ok=*/true);
           FlightRecorder::unbindThread();
@@ -207,17 +183,10 @@ void ExperimentEngine::run() {
   SchedStats.JobsSkipped += Skipped;
 
   // Fold per-job telemetry in JobId order so the session registry, the
-  // trace, and the "jobs" array never depend on completion order.
+  // trace, and the "jobs" array never depend on completion order. The
+  // fold runs here, on one thread after the graph drained, so it needs no
+  // synchronization; a failed job's partial metrics fold too.
   if (Session) {
-    if (Shards) {
-      // Counters and histograms already aggregated lock-free into the
-      // worker shards; fold those in shard order (commutative, so the
-      // totals are bit-identical to the per-job merge below). Gauges are
-      // last-write-wins and get replayed deterministically in the JobId
-      // loop.
-      Shards->mergeInto(Session->registry());
-      Shards->clear();
-    }
     // Job records get session-wide ids: this drain's JobId 0 lands at
     // jobs().size(), so dependency edges stay valid across drains.
     const size_t Base = Session->jobs().size();
@@ -238,10 +207,7 @@ void ExperimentEngine::run() {
       if (!O.Ok)
         R.Error = O.Error;
       if (ObsSession *Scope = JobObs[Id].get()) {
-        if (Shards)
-          Session->registry().setGaugesFrom(Scope->registry());
-        else
-          Session->registry().merge(Scope->registry());
+        Session->registry().merge(Scope->registry());
         if (EngineSelfProfiler *SessionSP = Session->selfProfiler())
           if (const EngineSelfProfiler *JobSP = Scope->selfProfiler())
             SessionSP->merge(*JobSP);
@@ -305,88 +271,6 @@ void ExperimentEngine::run() {
   for (const JobOutcome &O : Outcomes)
     if (O.Exception)
       std::rethrow_exception(O.Exception);
-}
-
-SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
-  SweepResult Result;
-  const size_t CellsPerWorkload = Spec.SeedOffsets.size() *
-                                  Spec.Methods.size() *
-                                  Spec.ProfileInputs.size();
-  Result.Cells.resize(Spec.Workloads.size() * CellsPerWorkload);
-  if (Spec.Baseline)
-    Result.BaselineCycles.assign(Spec.Workloads.size(), 0);
-
-  size_t Idx = 0;
-  for (size_t WI = 0; WI != Spec.Workloads.size(); ++WI) {
-    const Workload *W = Spec.Workloads[WI];
-    const std::string WName = W->info().Name;
-
-    if (Spec.Baseline) {
-      uint64_t *BaseOut = &Result.BaselineCycles[WI];
-      addJob("baseline:" + WName, "baseline-job",
-             [W, &Spec, BaseOut](ObsSession *JobObs) {
-               Pipeline P(*W, Spec.Config, JobObs);
-               *BaseOut = P.runBaseline(Spec.FeedbackInput).Cycles;
-             });
-    }
-
-    for (uint64_t Seed : Spec.SeedOffsets) {
-      for (ProfilingMethod Method : Spec.Methods) {
-        for (DataSet DS : Spec.ProfileInputs) {
-          SweepCell *Cell = &Result.Cells[Idx++];
-          Cell->W = W;
-          Cell->Method = Method;
-          Cell->ProfileDS = DS;
-          Cell->SeedOffset = Seed;
-
-          std::string Tag = WName + "/" +
-                            profilingMethodName(Method) + "/" +
-                            dataSetName(DS);
-          if (Seed != 0)
-            Tag += "/seed" + std::to_string(Seed);
-
-          JobId RunId = addJob(
-              "profile:" + Tag, "run-job",
-              [Cell, &Spec](ObsSession *JobObs) {
-                PipelineConfig C = Spec.Config;
-                C.WorkloadSeedOffset = Cell->SeedOffset;
-                Pipeline P(*Cell->W, C, JobObs);
-                Cell->Profile = P.runProfile(Cell->Method, Cell->ProfileDS,
-                                             Spec.WithMemorySystem);
-              });
-
-          if (Spec.Feedback)
-            addJob(
-                "feedback:" + Tag, "feedback-job",
-                [Cell, &Spec](ObsSession *JobObs) {
-                  PipelineConfig C = Spec.Config;
-                  C.WorkloadSeedOffset = Cell->SeedOffset;
-                  Pipeline P(*Cell->W, C, JobObs);
-                  Cell->Timed = P.runPrefetched(Spec.FeedbackInput,
-                                                Cell->Profile.Edges,
-                                                Cell->Profile.Strides);
-                  Cell->HasFeedback = true;
-                },
-                {RunId});
-        }
-      }
-    }
-  }
-
-  run();
-
-  if (Spec.Baseline && Spec.Feedback) {
-    Idx = 0;
-    for (size_t WI = 0; WI != Spec.Workloads.size(); ++WI)
-      for (size_t CI = 0; CI != CellsPerWorkload; ++CI, ++Idx) {
-        SweepCell &Cell = Result.Cells[Idx];
-        if (Cell.HasFeedback && Cell.Timed.Stats.Cycles != 0)
-          Cell.Speedup =
-              static_cast<double>(Result.BaselineCycles[WI]) /
-              static_cast<double>(Cell.Timed.Stats.Cycles);
-      }
-  }
-  return Result;
 }
 
 JsonValue ExperimentEngine::sweepReport(size_t StragglerTopN) const {

@@ -21,15 +21,11 @@
 ///     on the worker's trace lane, and the run report gains a "jobs"
 ///     array.
 ///
-/// Two levels of API: addJob()/run() schedules arbitrary closures with
-/// dependencies (the suite helpers in Experiments.h use this), and
-/// runSweep() expands a declarative SweepSpec into independent RunJobs
-/// (instrument → interpret → profile) plus dependent FeedbackJobs
-/// (classify → prefetch → timed run).
-///
-/// The suite helpers also route their jobs through the engine's result
-/// memo (memoFind/memoRecord), so one engine runs each unique job once
-/// however many figures ask for it.
+/// One API schedules work: addJob()/run() runs arbitrary closures with
+/// dependencies. The suite helpers in Experiments.h build every figure's
+/// jobs on it and route them through the engine's result memo
+/// (memoFind/memoRecord), so one engine runs each unique job once however
+/// many figures ask for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +34,6 @@
 
 #include "driver/JobGraph.h"
 #include "driver/Pipeline.h"
-#include "obs/Sharded.h"
 #include "obs/SweepReport.h"
 
 #include <functional>
@@ -58,71 +53,12 @@ struct EngineOptions {
   /// Session-level telemetry; jobs get derived scopes (ObsSession's
   /// jobConfig).
   ObsConfig Obs;
-  /// Aggregate job metrics through per-worker shards: each worker folds
-  /// its finished job scopes into its own shard lock-free, and the shards
-  /// fold into the session registry after the graph drains. Totals are
-  /// bit-identical to the direct per-job merge (counter addition and
-  /// histogram merging are commutative; gauges are replayed in JobId
-  /// order), so this is purely a contention knob.
-  bool ShardedMetrics = true;
   /// When nonzero (and the flight recorder is armed via
   /// ObsConfig::FlightRecorder), a watchdog thread dumps the recorder and
   /// exits the process (FlightRecorder::WatchdogExitCode) when no job
   /// finishes for this many seconds while jobs are in flight — a hung
   /// sweep fails loudly with a post-mortem instead of wedging CI.
   uint64_t WatchdogSec = 0;
-};
-
-/// A declarative sweep: the cross product of workloads × seed offsets ×
-/// profiling methods × profile inputs, each cell one independent RunJob,
-/// optionally followed by a dependent FeedbackJob on the feedback input.
-struct SweepSpec {
-  std::vector<const Workload *> Workloads;
-  std::vector<ProfilingMethod> Methods = {ProfilingMethod::EdgeCheck};
-  std::vector<DataSet> ProfileInputs = {DataSet::Train};
-  /// Workload seed offsets (see BuildRequest); one grid slice per entry.
-  /// Offset 0 is the canonical build.
-  std::vector<uint64_t> SeedOffsets = {0};
-  PipelineConfig Config;
-  /// Simulate the cache hierarchy during profile runs (profiles do not
-  /// depend on it; overhead measurements keep it on).
-  bool WithMemorySystem = true;
-  /// Add one FeedbackJob per cell: classify the cell's profiles, insert
-  /// prefetches, and time the result on FeedbackInput.
-  bool Feedback = false;
-  DataSet FeedbackInput = DataSet::Ref;
-  /// Add one baseline timed run per workload on FeedbackInput (denominator
-  /// for per-cell speedups).
-  bool Baseline = false;
-};
-
-/// One grid cell of a finished sweep.
-struct SweepCell {
-  const Workload *W = nullptr;
-  ProfilingMethod Method = ProfilingMethod::EdgeOnly;
-  DataSet ProfileDS = DataSet::Train;
-  uint64_t SeedOffset = 0;
-  ProfileRunResult Profile;
-  /// Set by the cell's FeedbackJob (SweepSpec::Feedback).
-  bool HasFeedback = false;
-  TimedRunResult Timed;
-  /// Baseline cycles / prefetched cycles; 0 unless both Baseline and
-  /// Feedback were requested.
-  double Speedup = 0.0;
-};
-
-/// All cells in deterministic order: workload-major, then seed offset,
-/// then method, then profile input.
-struct SweepResult {
-  std::vector<SweepCell> Cells;
-  /// Per-workload baseline cycles (parallel to SweepSpec::Workloads);
-  /// empty unless SweepSpec::Baseline.
-  std::vector<uint64_t> BaselineCycles;
-
-  /// The first cell matching the coordinates, or nullptr.
-  const SweepCell *find(const Workload *W, ProfilingMethod Method,
-                        DataSet ProfileDS = DataSet::Train,
-                        uint64_t SeedOffset = 0) const;
 };
 
 /// What a memoized engine job computes. Each kind has one result type:
@@ -189,9 +125,6 @@ public:
   /// Outcomes of the most recent run(), indexed by the JobIds it drained.
   const std::vector<JobOutcome> &lastOutcomes() const { return Outcomes; }
 
-  /// Expands \p Spec into jobs, runs them, and assembles the grid.
-  SweepResult runSweep(const SweepSpec &Spec);
-
   /// Scheduler accounting accumulated over every drain of this engine
   /// (high-water marks maxed, counts summed).
   const SweepSchedulerStats &schedStats() const { return SchedStats; }
@@ -232,9 +165,6 @@ private:
   std::unique_ptr<ObsSession> Session;
   std::unique_ptr<FlightRecorder> Recorder;
   SweepSchedulerStats SchedStats;
-  /// Per-worker metric shards (EngineOptions::ShardedMetrics); cleared
-  /// after every drain so the engine stays reusable.
-  std::unique_ptr<ShardedMetricsRegistry> Shards;
   JobGraph Graph;
   /// One slot per pending job; the job's wrapper fills it at job start.
   /// Preallocated in addJob so worker threads never resize the vector.

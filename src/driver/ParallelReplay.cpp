@@ -97,10 +97,11 @@ ShardedProfileResult profileColumns(const std::vector<ShardColumns> &Producers,
   }
   const std::vector<JobOutcome> Outcomes = G.run(Threads);
 
-  // Job-id-ordered fold (the ShardedMetricsRegistry discipline): profile
-  // scalars sum, per-site stride tables union into an empty profile --
-  // shards own disjoint site sets, so the fold is a verbatim ordered copy
-  // of each shard's tables and no re-sort or truncation is needed.
+  // Job-id-ordered fold (as ExperimentEngine::run folds job telemetry):
+  // profile scalars sum, per-site stride tables union into an empty
+  // profile -- shards own disjoint site sets, so the fold is a verbatim
+  // ordered copy of each shard's tables and no re-sort or truncation is
+  // needed.
   R.Strides = StrideProfile(NumSites);
   const size_t JobBase = Obs ? Obs->jobs().size() : 0;
   for (unsigned S = 0; S != Shards; ++S) {

@@ -23,8 +23,8 @@
 ///     the shard count -- preserving per-site program order and each
 ///     load's global position -- and one full-size StrideProfiler runs
 ///     per shard. Per-site results are bit-identical to the serial
-///     profiler's, so folding the disjoint shards in job-id order (the
-///     ShardedMetricsRegistry discipline) through ProfileData's
+///     profiler's, so folding the disjoint shards in job-id order (as
+///     ExperimentEngine::run folds job telemetry) through ProfileData's
 ///     order-preserving merge reproduces the serial profile verbatim:
 ///     same values, same bytes. docs/TRACE.md spells out the contract.
 ///

@@ -63,7 +63,7 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
                          profilingMethodName(Method)};
     std::string CapErr;
     Capture = TraceWriter::open(Config.TraceCapturePath, Prog.M.NumLoadSites,
-                                std::move(Prov), Config.TraceCaptureText,
+                                std::move(Prov), /*Text=*/false,
                                 &CapErr);
     if (Capture)
       I.attachEventSink(Capture.get());

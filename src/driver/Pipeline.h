@@ -62,8 +62,6 @@ struct PipelineConfig {
   /// tees off the engines' existing stride-event ring, so profiles and
   /// cycle accounting are bit-identical with or without it.
   std::string TraceCapturePath;
-  /// Write the human-readable sprof.trace.text/1 twin instead.
-  bool TraceCaptureText = false;
 
   /// Compares every field, nested configs included, so a field added
   /// later joins the engine's result-memo key (driver/Engine.h) without

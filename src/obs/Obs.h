@@ -85,20 +85,14 @@ struct ObsConfig {
   /// Arm the engine flight recorder: a bounded lock-free per-worker ring
   /// of job/phase transitions that a SIGSEGV/SIGABRT handler (and the
   /// engine watchdog) dumps as JSON, so a crashed or hung sweep leaves a
-  /// post-mortem naming the jobs in flight.
+  /// post-mortem naming the jobs in flight. The engine's recorder keeps
+  /// the last 64 events per worker lane and always installs the
+  /// fatal-signal dump handler.
   bool FlightRecorder = false;
-
-  /// Events retained per worker lane (rounded up to a power of two).
-  size_t FlightRecorderRingSize = 64;
 
   /// Where the flight recorder dumps ("sprof.flightrec/1"); empty means
   /// stderr.
   std::string FlightRecorderDumpPath;
-
-  /// Install the fatal-signal (SIGSEGV/SIGABRT) dump handler. Off leaves
-  /// signal dispositions alone; the watchdog and explicit dumps still
-  /// work.
-  bool FlightRecorderSignals = true;
 
   bool operator==(const ObsConfig &) const = default;
 };

@@ -8,8 +8,6 @@
 
 #include "obs/SelfProfiler.h"
 
-#include <ostream>
-
 using namespace sprof;
 
 JsonValue sprof::runStatsToJson(const RunStats &Stats) {
@@ -73,14 +71,14 @@ JsonValue sprof::edgeProfileToJson(const EdgeProfile &EP) {
   return J;
 }
 
-JsonValue sprof::strideProfileToJson(const StrideProfile &SP,
-                                     const ReportOptions &Options) {
+JsonValue sprof::strideProfileToJson(const StrideProfile &SP) {
+  constexpr size_t TopStridesPerSite = 4;
   JsonValue J = JsonValue::object();
   J.set("num_sites", SP.numSites());
   JsonValue Sites = JsonValue::array();
   for (uint32_t S = 0; S != SP.numSites(); ++S) {
     const StrideSiteSummary &Sum = SP.site(S);
-    if (Options.OnlyActiveSites && Sum.TotalStrides == 0)
+    if (Sum.TotalStrides == 0)
       continue;
     JsonValue SJ = JsonValue::object();
     SJ.set("site", S);
@@ -92,7 +90,7 @@ JsonValue sprof::strideProfileToJson(const StrideProfile &SP,
     SJ.set("avg_ref_gap", Sum.avgRefGap());
     JsonValue Top = JsonValue::array();
     for (size_t T = 0; T != Sum.TopStrides.size() &&
-                       T != Options.TopStridesPerSite;
+                       T != TopStridesPerSite;
          ++T) {
       JsonValue TJ = JsonValue::object();
       TJ.set("stride", Sum.TopStrides[T].Value);
@@ -500,13 +498,12 @@ JsonValue sprof::traceCaptureToJson(const TraceCaptureInfo &Capture) {
   return J;
 }
 
-JsonValue sprof::profileRunToJson(const ProfileRunResult &R,
-                                  const ReportOptions &Options) {
+JsonValue sprof::profileRunToJson(const ProfileRunResult &R) {
   JsonValue J = JsonValue::object();
   J.set("method", profilingMethodName(R.Method));
   J.set("stats", runStatsToJson(R.Stats));
   J.set("edge_profile", edgeProfileToJson(R.Edges));
-  J.set("stride_profile", strideProfileToJson(R.Strides, Options));
+  J.set("stride_profile", strideProfileToJson(R.Strides));
   J.set("profiled_sites",
         static_cast<uint64_t>(R.Instr.ProfiledSites.size()));
   J.set("stride_invocations", R.StrideInvocations);
@@ -519,13 +516,11 @@ JsonValue sprof::profileRunToJson(const ProfileRunResult &R,
 
 JsonValue sprof::timedRunToJson(const TimedRunResult &R,
                                 const StrideProfile &SP,
-                                const ClassifierConfig &Config,
-                                const ReportOptions &Options) {
+                                const ClassifierConfig &Config) {
   JsonValue J = JsonValue::object();
   J.set("stats", runStatsToJson(R.Stats));
   J.set("prefetches", prefetchStatsToJson(R.Prefetches));
   J.set("classification", feedbackToJson(R.Feedback, SP, Config));
-  (void)Options;
   return J;
 }
 
@@ -535,14 +530,13 @@ JsonValue sprof::buildRunReport(const std::string &WorkloadName,
                                 const TimedRunResult *Timed,
                                 const RunStats *Baseline,
                                 const ObsSession *Obs,
-                                const ReportOptions &Options,
                                 const ProfileDiffResult *Diff) {
   JsonValue J = JsonValue::object();
   J.set("schema", RunReportSchemaV5);
   J.set("workload", WorkloadName);
   J.set("config", pipelineConfigToJson(Config));
   if (Profile)
-    J.set("profile_run", profileRunToJson(*Profile, Options));
+    J.set("profile_run", profileRunToJson(*Profile));
   if (Baseline)
     J.set("baseline_run", runStatsToJson(*Baseline));
   if (Timed) {
@@ -551,7 +545,7 @@ JsonValue sprof::buildRunReport(const std::string &WorkloadName,
     static const StrideProfile EmptySP;
     const StrideProfile &SP = Profile ? Profile->Strides : EmptySP;
     J.set("timed_run",
-          timedRunToJson(*Timed, SP, Config.Classifier, Options));
+          timedRunToJson(*Timed, SP, Config.Classifier));
     if (Baseline && Timed->Stats.Cycles != 0)
       J.set("speedup", static_cast<double>(Baseline->Cycles) /
                            static_cast<double>(Timed->Stats.Cycles));
@@ -571,18 +565,4 @@ JsonValue sprof::buildRunReport(const std::string &WorkloadName,
         J.set("self_profile", selfProfileToJson(*SP));
   }
   return J;
-}
-
-void sprof::writeRunReport(std::ostream &OS,
-                           const std::string &WorkloadName,
-                           const PipelineConfig &Config,
-                           const ProfileRunResult *Profile,
-                           const TimedRunResult *Timed,
-                           const RunStats *Baseline, const ObsSession *Obs,
-                           const ReportOptions &Options,
-                           const ProfileDiffResult *Diff) {
-  buildRunReport(WorkloadName, Config, Profile, Timed, Baseline, Obs,
-                 Options, Diff)
-      .write(OS);
-  OS << '\n';
 }

@@ -8,6 +8,7 @@
 #include "profile/ProfileStore.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -16,6 +17,28 @@ using namespace sprof;
 static void setError(std::string *Error, std::string Message) {
   if (Error)
     *Error = std::move(Message);
+}
+
+/// The largest function or load-site count a shape line may declare.
+/// Loading allocates a table entry per declared function and site, so a
+/// damaged shape must not demand gigabytes; no workload comes near this.
+static constexpr uint64_t MaxShapeCount = uint64_t{1} << 20;
+
+/// Parses one shape count: decimal digits only, since stream extraction
+/// into an unsigned type takes a sign and wraps "-1" to the type's
+/// maximum.
+static bool parseShapeCount(const std::string &Token, uint64_t &Out) {
+  if (Token.empty())
+    return false;
+  Out = 0;
+  for (char C : Token) {
+    if (C < '0' || C > '9')
+      return false;
+    Out = Out * 10 + static_cast<uint64_t>(C - '0');
+    if (Out > MaxShapeCount)
+      return false;
+  }
+  return true;
 }
 
 void ProfileStore::save(std::ostream &OS) const {
@@ -74,10 +97,17 @@ bool ProfileStore::load(std::istream &IS, ProfileStore &Out,
       *MetaField =
           Line.size() > Key.size() + 1 ? Line.substr(Key.size() + 1) : "";
     } else if (Key == "shape") {
-      if (!(LS >> NumFunctions >> NumSites)) {
-        setError(Error, "malformed shape line: \"" + Line + "\"");
+      std::string Funcs, Sites;
+      uint64_t NumFuncs = 0, NumSitesDeclared = 0;
+      if (!(LS >> Funcs >> Sites) || !parseShapeCount(Funcs, NumFuncs) ||
+          !parseShapeCount(Sites, NumSitesDeclared)) {
+        setError(Error, "malformed shape line: \"" + Line +
+                            "\" (want two counts of at most " +
+                            std::to_string(MaxShapeCount) + ")");
         return false;
       }
+      NumFunctions = static_cast<size_t>(NumFuncs);
+      NumSites = static_cast<uint32_t>(NumSitesDeclared);
       SawShape = true;
     } else {
       setError(Error, "unknown header line: \"" + Line + "\"");

@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -462,6 +463,15 @@ bool TraceReader::getVarint(uint64_t &V) {
   return false;
 }
 
+bool TraceReader::edgeFunctionInRange(uint64_t Func) {
+  if (Func < EdgeSec.NumFunctions)
+    return true;
+  fail(TraceError::Corrupt, "edge-section record names function " +
+                                std::to_string(Func) + " of " +
+                                std::to_string(EdgeSec.NumFunctions));
+  return false;
+}
+
 bool TraceReader::getZigzag(int64_t &V) {
   uint64_t U;
   if (!getVarint(U))
@@ -700,14 +710,18 @@ bool TraceReader::parseIndexSection() {
   }
   Index.Present = true;
   Index.Interval = Interval;
-  Index.Chunks.resize(NumChunks);
-  for (TraceShardEntry &E : Index.Chunks) {
+  // Entries are appended as they decode rather than sized from the count
+  // up front, so a damaged count runs into the end of the input instead
+  // of into an allocation of its size.
+  for (uint64_t I = 0; I != NumChunks; ++I) {
+    TraceShardEntry E;
     uint64_t Site;
     if (!getVarint(E.ByteOffset) || !getVarint(E.CumEvents) ||
         !getVarint(E.CumLoads) || !getVarint(Site) ||
         !getVarint(E.PrevAddr) || !getVarint(E.PrevRef))
       return false;
     E.PrevSite = static_cast<uint32_t>(Site);
+    Index.Chunks.push_back(E);
   }
   if (!getVarint(Index.TotalLoads))
     return false;
@@ -787,27 +801,32 @@ bool TraceReader::parseFooter() {
       uint64_t NumFuncs, NumEntries;
       if (!getVarint(NumFuncs) || !getVarint(NumEntries))
         return false;
+      if (NumFuncs > UINT32_MAX) {
+        fail(TraceError::Corrupt, "edge-section function count " +
+                                      std::to_string(NumFuncs) +
+                                      " out of range");
+        return false;
+      }
       EdgeSec.Present = true;
       EdgeSec.NumFunctions = static_cast<uint32_t>(NumFuncs);
-      EdgeSec.Entries.resize(NumEntries);
-      for (TraceEntryRecord &R : EdgeSec.Entries) {
-        uint64_t F;
-        if (!getVarint(F) || !getVarint(R.Count))
+      // Records are appended as they decode, like the shard index's.
+      for (uint64_t I = 0; I != NumEntries; ++I) {
+        uint64_t F, Count;
+        if (!getVarint(F) || !getVarint(Count) || !edgeFunctionInRange(F))
           return false;
-        R.Func = static_cast<uint32_t>(F);
+        EdgeSec.Entries.push_back({static_cast<uint32_t>(F), Count});
       }
       uint64_t NumEdges;
       if (!getVarint(NumEdges))
         return false;
-      EdgeSec.Edges.resize(NumEdges);
-      for (TraceEdgeRecord &R : EdgeSec.Edges) {
-        uint64_t F, From, Slot;
+      for (uint64_t I = 0; I != NumEdges; ++I) {
+        uint64_t F, From, Slot, Count;
         if (!getVarint(F) || !getVarint(From) || !getVarint(Slot) ||
-            !getVarint(R.Count))
+            !getVarint(Count) || !edgeFunctionInRange(F))
           return false;
-        R.Func = static_cast<uint32_t>(F);
-        R.From = static_cast<uint32_t>(From);
-        R.Slot = static_cast<uint32_t>(Slot);
+        EdgeSec.Edges.push_back({static_cast<uint32_t>(F),
+                                 static_cast<uint32_t>(From),
+                                 static_cast<uint32_t>(Slot), Count});
       }
       continue;
     }
@@ -984,10 +1003,14 @@ bool TraceReader::parseTextLine(const std::string &Line, AccessEvent &E,
           break;
         unsigned long long A, B, C, D;
         if (std::sscanf(L.c_str(), "entry %llu %llu", &A, &B) == 2) {
+          if (!edgeFunctionInRange(A))
+            return false;
           EdgeSec.Entries.push_back(
               {static_cast<uint32_t>(A), static_cast<uint64_t>(B)});
         } else if (std::sscanf(L.c_str(), "edge %llu %llu %llu %llu", &A, &B,
                                &C, &D) == 4) {
+          if (!edgeFunctionInRange(A))
+            return false;
           EdgeSec.Edges.push_back({static_cast<uint32_t>(A),
                                    static_cast<uint32_t>(B),
                                    static_cast<uint32_t>(C),

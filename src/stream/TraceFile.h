@@ -301,6 +301,9 @@ private:
   int getByte(); ///< -1 at end of input
   bool getVarint(uint64_t &V);
   bool getZigzag(int64_t &V);
+  /// Fails Corrupt unless \p Func is below the edge section's function
+  /// count; replay indexes its per-function tables by these ids.
+  bool edgeFunctionInRange(uint64_t Func);
   /// Absolute file offset of the next byte getByte() would return.
   uint64_t tellAbs() const { return SeekBase + BufBase + InPos; }
   bool seekTo(uint64_t AbsOffset);

@@ -10,8 +10,11 @@
 #include "interp/SimMemory.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
+#include "support/Random.h"
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace sprof {
@@ -109,6 +112,40 @@ inline void fillChaseList(SimMemory &Mem, uint64_t Count, uint64_t Stride) {
     Mem.write64(Addr + 0, static_cast<int64_t>(Next));
     Mem.write64(Addr + 8, static_cast<int64_t>(I));
     Addr += Stride;
+  }
+}
+
+/// Seeded mutation for reader robustness tests. For every text in
+/// \p Seeds, calls \p Check(Mutant, Kind) on 300 mutants: 200 "flip"
+/// mutants with 1-4 bytes each replaced by a byte of \p Syntax (bytes that
+/// steer the reader into its structural paths) or bit-flipped, 50
+/// "truncation" prefixes, and 50 "splice" mutants joining a prefix with a
+/// suffix of a random seed. The mutants depend only on \p RngSeed.
+template <typename CheckFn>
+void forEachMutant(const std::vector<std::string> &Seeds,
+                   std::string_view Syntax, uint64_t RngSeed,
+                   CheckFn Check) {
+  Rng R(RngSeed);
+  for (const std::string &Text : Seeds) {
+    for (int K = 0; K != 200; ++K) {
+      std::string M = Text;
+      for (uint64_t F = 1 + R.below(4); F != 0; --F) {
+        char &B = M[R.below(M.size())];
+        if (R.chancePercent(50))
+          B = Syntax[R.below(Syntax.size())];
+        else
+          B = static_cast<char>(B ^ (1u << R.below(8)));
+      }
+      Check(M, "flip");
+    }
+    for (int K = 0; K != 50; ++K)
+      Check(Text.substr(0, R.below(Text.size())), "truncation");
+    for (int K = 0; K != 50; ++K) {
+      const std::string &Other = Seeds[R.below(Seeds.size())];
+      Check(Text.substr(0, R.below(Text.size())) +
+                Other.substr(R.below(Other.size())),
+            "splice");
+    }
   }
 }
 

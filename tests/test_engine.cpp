@@ -61,12 +61,70 @@ EngineOptions withThreads(unsigned N) {
   return Opts;
 }
 
-std::string profileText(const SweepCell &Cell) {
-  ProfileStore Store({Cell.W->info().Name,
-                      profilingMethodName(Cell.Method),
-                      dataSetName(Cell.ProfileDS)},
-                     Cell.Profile.Edges, Cell.Profile.Strides);
+/// The sprof.profile/1 bytes of a train-input profile run of \p W.
+std::string profileText(const Workload &W, const ProfileRunResult &R) {
+  ProfileStore Store({W.info().Name, profilingMethodName(R.Method),
+                      dataSetName(DataSet::Train)},
+                     R.Edges, R.Strides);
   return Store.toString();
+}
+
+/// One profiling method's row of a method grid.
+struct MethodCell {
+  ProfileRunResult Profile;
+  bool HasFeedback = false;
+  TimedRunResult Timed;
+  /// Baseline cycles / prefetched cycles.
+  double Speedup = 0.0;
+};
+
+struct MethodGrid {
+  uint64_t BaselineCycles = 0;
+  /// Parallel to allProfilingMethods().
+  std::vector<MethodCell> Cells;
+};
+
+/// Every profiling method on \p W, scheduled through addJob on a
+/// \p Threads-wide engine: one baseline timed run, one train profile job
+/// per method (memory system off), and per method a dependent feedback
+/// job that classifies the profile, inserts prefetches and times the
+/// result. Everything runs on the train input.
+MethodGrid runMethodGrid(const Workload &W, unsigned Threads) {
+  const std::vector<ProfilingMethod> Methods = allProfilingMethods();
+  MethodGrid G;
+  // Pre-sized before any job runs: each job writes its own slot.
+  G.Cells.resize(Methods.size());
+  ExperimentEngine Engine(withThreads(Threads));
+  Engine.addJob("baseline", "baseline-job", [&W, &G](ObsSession *JobObs) {
+    Pipeline P(W, {}, JobObs);
+    G.BaselineCycles = P.runBaseline(DataSet::Train).Cycles;
+  });
+  for (size_t I = 0; I != Methods.size(); ++I) {
+    MethodCell *Cell = &G.Cells[I];
+    const ProfilingMethod Method = Methods[I];
+    const std::string Tag = profilingMethodName(Method);
+    JobId RunId = Engine.addJob(
+        "profile:" + Tag, "run-job", [&W, Cell, Method](ObsSession *JobObs) {
+          Pipeline P(W, {}, JobObs);
+          Cell->Profile = P.runProfile(Method, DataSet::Train,
+                                       /*WithMemorySystem=*/false);
+        });
+    Engine.addJob(
+        "feedback:" + Tag, "feedback-job",
+        [&W, Cell](ObsSession *JobObs) {
+          Pipeline P(W, {}, JobObs);
+          Cell->Timed = P.runPrefetched(DataSet::Train, Cell->Profile.Edges,
+                                        Cell->Profile.Strides);
+          Cell->HasFeedback = true;
+        },
+        {RunId});
+  }
+  Engine.run();
+  for (MethodCell &Cell : G.Cells)
+    if (Cell.HasFeedback && Cell.Timed.Stats.Cycles != 0)
+      Cell.Speedup = static_cast<double>(G.BaselineCycles) /
+                     static_cast<double>(Cell.Timed.Stats.Cycles);
+  return G;
 }
 
 TEST(JobGraph, SerialRunsInInsertionOrder) {
@@ -206,16 +264,15 @@ TEST(ExperimentEngine, FoldsJobTelemetryIntoSession) {
   EXPECT_TRUE(Engine.obs()->trace().hasSpan("tick5"));
 }
 
-// EngineOptions::ShardedMetrics is purely a contention knob: whatever
-// worker folded whatever job scope into whatever shard, the session
-// registry after the drain is bit-identical to the direct serial merge,
-// gauges included (replayed in job-id order after the fold).
-TEST(ExperimentEngine, ShardedFoldMatchesDirectMergeBitIdentical) {
-  auto RunEngine = [](unsigned Threads, bool Sharded) {
+// The engine folds job scopes into the session registry on one thread,
+// in JobId order, after the graph drains: whatever worker ran whatever
+// job, the session's counters, gauges (last write in JobId order) and
+// histogram buckets are the same at every thread count.
+TEST(ExperimentEngine, JobTelemetryFoldIdenticalAcrossThreadCounts) {
+  auto RunEngine = [](unsigned Threads) {
     EngineOptions Opts;
     Opts.Threads = Threads;
     Opts.Obs.Enabled = true;
-    Opts.ShardedMetrics = Sharded;
     ExperimentEngine Engine(Opts);
     for (int J = 0; J != 16; ++J)
       Engine.addJob("job" + std::to_string(J), "test-job",
@@ -247,10 +304,18 @@ TEST(ExperimentEngine, ShardedFoldMatchesDirectMergeBitIdentical) {
                            H.bucketCounts());
   };
 
-  auto Direct = RunEngine(1, /*Sharded=*/false);
+  auto Serial = RunEngine(1);
+  // 1 + 2 + ... + 16 events; the gauge holds the last job's value.
+  const std::vector<std::pair<std::string, uint64_t>> WantCounters = {
+      {"fold.events", 136}};
+  const std::vector<std::pair<std::string, double>> WantGauges = {
+      {"fold.last", 15.0}};
+  EXPECT_EQ(std::get<0>(Serial), WantCounters);
+  EXPECT_EQ(std::get<1>(Serial), WantGauges);
+  EXPECT_EQ(std::get<2>(Serial), 16u);
   for (unsigned Threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(Threads);
-    EXPECT_EQ(RunEngine(Threads, /*Sharded=*/true), Direct);
+    EXPECT_EQ(RunEngine(Threads), Serial);
   }
 }
 
@@ -433,7 +498,11 @@ TEST(FlightRecorder, ConcurrentLanesAndDumpsStayConsistent) {
   for (unsigned W = 0; W != Lanes; ++W)
     Writers.emplace_back([&R, W, &Stop] {
       R.bindThread(W);
-      for (int I = 0; !Stop.load(std::memory_order_relaxed) && I != 4000;
+      // Every writer records at least one ring's worth of events before it
+      // honours Stop: under load the dump loop can finish before a writer
+      // is first scheduled, and the quiesced lanes below must not be empty.
+      for (int I = 0;
+           I != 4000 && (I < 16 || !Stop.load(std::memory_order_relaxed));
            ++I) {
         std::string Name = "w" + std::to_string(W) + ":" +
                            std::to_string(I);
@@ -469,36 +538,28 @@ TEST(FlightRecorder, ConcurrentLanesAndDumpsStayConsistent) {
 }
 
 // The acceptance criterion: for every profiling method, profiles,
-// classification verdicts, and timed runs from a 4-thread sweep are byte-
-// identical to the 1-thread sweep.
+// classification verdicts, and timed runs from a 4-thread engine are byte-
+// identical to the 1-thread engine's.
 TEST(ExperimentEngine, ParallelSweepMatchesSerialForAllMethods) {
   ChaseWorkload W;
-  SweepSpec Spec;
-  Spec.Workloads = {&W};
-  Spec.Methods = allProfilingMethods();
-  Spec.WithMemorySystem = false;
-  Spec.Feedback = true;
-  Spec.FeedbackInput = DataSet::Train;
-  Spec.Baseline = true;
+  const std::vector<ProfilingMethod> Methods = allProfilingMethods();
+  MethodGrid GS = runMethodGrid(W, 1);
+  MethodGrid GP = runMethodGrid(W, 4);
 
-  ExperimentEngine Serial(withThreads(1));
-  ExperimentEngine Parallel(withThreads(4));
-  SweepResult RS = Serial.runSweep(Spec);
-  SweepResult RP = Parallel.runSweep(Spec);
+  ASSERT_EQ(GS.Cells.size(), Methods.size());
+  ASSERT_EQ(GP.Cells.size(), GS.Cells.size());
+  EXPECT_NE(GS.BaselineCycles, 0u);
+  EXPECT_EQ(GP.BaselineCycles, GS.BaselineCycles);
 
-  ASSERT_EQ(RS.Cells.size(), Spec.Methods.size());
-  ASSERT_EQ(RP.Cells.size(), RS.Cells.size());
-  ASSERT_EQ(RS.BaselineCycles.size(), 1u);
-  EXPECT_EQ(RP.BaselineCycles, RS.BaselineCycles);
-
-  for (size_t I = 0; I != RS.Cells.size(); ++I) {
-    const SweepCell &S = RS.Cells[I];
-    const SweepCell &P = RP.Cells[I];
-    ASSERT_EQ(P.Method, S.Method);
-    SCOPED_TRACE(profilingMethodName(S.Method));
+  for (size_t I = 0; I != GS.Cells.size(); ++I) {
+    const MethodCell &S = GS.Cells[I];
+    const MethodCell &P = GP.Cells[I];
+    ASSERT_EQ(S.Profile.Method, Methods[I]);
+    ASSERT_EQ(P.Profile.Method, S.Profile.Method);
+    SCOPED_TRACE(profilingMethodName(Methods[I]));
 
     // Profiles serialize to the same bytes.
-    EXPECT_EQ(profileText(P), profileText(S));
+    EXPECT_EQ(profileText(W, P.Profile), profileText(W, S.Profile));
     EXPECT_EQ(P.Profile.Stats.Instructions, S.Profile.Stats.Instructions);
     EXPECT_EQ(P.Profile.StrideInvocations, S.Profile.StrideInvocations);
 
@@ -516,22 +577,23 @@ TEST(ExperimentEngine, ParallelSweepMatchesSerialForAllMethods) {
 
 TEST(ExperimentEngine, SeedOffsetZeroReproducesStandalonePipeline) {
   ChaseWorkload W;
-  SweepSpec Spec;
-  Spec.Workloads = {&W};
-  Spec.Methods = {ProfilingMethod::EdgeCheck};
-  Spec.SeedOffsets = {0, 1};
-  Spec.WithMemorySystem = false;
-
+  // One profile job per seed offset, run side by side.
+  ProfileRunResult ByOffset[2];
   ExperimentEngine Engine(withThreads(2));
-  SweepResult R = Engine.runSweep(Spec);
-  ASSERT_EQ(R.Cells.size(), 2u);
-
-  const SweepCell *Canonical =
-      R.find(&W, ProfilingMethod::EdgeCheck, DataSet::Train, 0);
-  const SweepCell *Replica =
-      R.find(&W, ProfilingMethod::EdgeCheck, DataSet::Train, 1);
-  ASSERT_NE(Canonical, nullptr);
-  ASSERT_NE(Replica, nullptr);
+  for (uint64_t Offset : {0u, 1u})
+    Engine.addJob("profile:seed" + std::to_string(Offset), "run-job",
+                  [&W, &ByOffset, Offset](ObsSession *JobObs) {
+                    PipelineConfig C;
+                    C.WorkloadSeedOffset = Offset;
+                    Pipeline P(W, C, JobObs);
+                    ByOffset[Offset] =
+                        P.runProfile(ProfilingMethod::EdgeCheck,
+                                     DataSet::Train,
+                                     /*WithMemorySystem=*/false);
+                  });
+  Engine.run();
+  const ProfileRunResult &Canonical = ByOffset[0];
+  const ProfileRunResult &Replica = ByOffset[1];
 
   // Offset 0 is the canonical build: bit-identical to a plain Pipeline.
   Pipeline P(W);
@@ -540,11 +602,11 @@ TEST(ExperimentEngine, SeedOffsetZeroReproducesStandalonePipeline) {
                    /*WithMemorySystem=*/false);
   ProfileStore DirectStore({W.info().Name, "edge-check", "train"},
                            Direct.Edges, Direct.Strides);
-  EXPECT_EQ(profileText(*Canonical), DirectStore.toString());
+  EXPECT_EQ(profileText(W, Canonical), DirectStore.toString());
 
   // A non-zero offset owns a different RNG stream, so its profile is a
   // genuine replica, not a copy.
-  EXPECT_NE(profileText(*Replica), profileText(*Canonical));
+  EXPECT_NE(profileText(W, Replica), profileText(W, Canonical));
 }
 
 // -- Result memo ------------------------------------------------------------

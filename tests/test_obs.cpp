@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Covers the telemetry subsystem: metric semantics, sharded registry
-/// folding, trace span nesting and Chrome trace emission, the background
-/// time-series sampler, the engine self-profiler, JSON round-trips, the
-/// versioned run report, and the guarantee that enabling telemetry does
-/// not perturb profiles.
+/// Covers the telemetry subsystem: metric semantics, trace span nesting
+/// and Chrome trace emission, the background time-series sampler, the
+/// engine self-profiler, JSON round-trips, the versioned run report, and
+/// the guarantee that enabling telemetry does not perturb profiles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +18,6 @@
 #include "obs/Report.h"
 #include "obs/Sampler.h"
 #include "obs/SelfProfiler.h"
-#include "obs/Sharded.h"
 #include "obs/Trace.h"
 #include "profile/ProfileData.h"
 
@@ -128,94 +126,6 @@ TEST(ObsMetrics, SessionHandlesAreNullWhenMetricsOff) {
   Config.CollectMetrics = true;
   ObsSession On(Config);
   EXPECT_NE(On.counter("x"), nullptr);
-}
-
-// -- Sharded registry ------------------------------------------------------
-
-// The concurrency contract (and the TSan target): N workers hammer their
-// own shards in parallel, and the fold still produces exact totals.
-TEST(ShardedMetrics, ConcurrentShardWritesFoldExactly) {
-  constexpr unsigned NumWorkers = 8;
-  constexpr unsigned IncsPerWorker = 20000;
-  ShardedMetricsRegistry Shards(NumWorkers);
-  ASSERT_EQ(Shards.numShards(), NumWorkers);
-
-  std::vector<std::thread> Workers;
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    Workers.emplace_back([&Shards, W] {
-      MetricsRegistry &Shard = Shards.shard(W);
-      Counter &C = Shard.counter("shared.events");
-      Histogram &H = Shard.histogram("shared.sizes", {16, 64});
-      for (unsigned I = 0; I != IncsPerWorker; ++I) {
-        C.inc();
-        H.record(I % 128);
-      }
-      Shard.counter("worker." + std::to_string(W)).inc(W + 1);
-    });
-  for (std::thread &T : Workers)
-    T.join();
-
-  MetricsRegistry Total;
-  Shards.mergeInto(Total);
-  EXPECT_EQ(Total.counter("shared.events").value(),
-            uint64_t{NumWorkers} * IncsPerWorker);
-  EXPECT_EQ(Total.histogram("shared.sizes").count(),
-            uint64_t{NumWorkers} * IncsPerWorker);
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    EXPECT_EQ(Total.counter("worker." + std::to_string(W)).value(), W + 1u);
-
-  // clear() resets the shards for the next engine drain.
-  Shards.clear();
-  MetricsRegistry Empty;
-  Shards.mergeInto(Empty);
-  EXPECT_TRUE(Empty.counters().empty());
-}
-
-// The determinism contract: folding job scopes through shards -- whatever
-// worker got whatever scope -- is bit-identical to a direct serial merge,
-// with gauges replayed in a fixed order afterwards (as the engine does).
-TEST(ShardedMetrics, FoldIsBitIdenticalToSerialMerge) {
-  std::vector<MetricsRegistry> Scopes(12);
-  for (size_t J = 0; J != Scopes.size(); ++J) {
-    Scopes[J].counter("jobs.done").inc(J + 1);
-    Scopes[J].histogram("jobs.cost").record(J * 7 % 50, J + 1);
-    Scopes[J].gauge("jobs.last").set(static_cast<double>(J));
-  }
-
-  MetricsRegistry Serial;
-  for (const MetricsRegistry &S : Scopes)
-    Serial.merge(S);
-
-  constexpr unsigned NumWorkers = 4;
-  ShardedMetricsRegistry Shards(NumWorkers);
-  std::vector<std::thread> Workers;
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    Workers.emplace_back([&, W] {
-      for (size_t J = W; J < Scopes.size(); J += NumWorkers)
-        Shards.shard(W).merge(Scopes[J]);
-    });
-  for (std::thread &T : Workers)
-    T.join();
-
-  MetricsRegistry Folded;
-  Shards.mergeInto(Folded);
-  // Gauges are last-write-wins and therefore shard-order dependent; the
-  // engine replays them per job id after the fold.
-  Folded.setGaugesFrom(Serial);
-
-  std::vector<std::pair<std::string, uint64_t>> SC, FC;
-  std::vector<std::pair<std::string, double>> SG, FG;
-  Serial.snapshotScalars(SC, SG);
-  Folded.snapshotScalars(FC, FG);
-  EXPECT_EQ(FC, SC);
-  EXPECT_EQ(FG, SG);
-  const Histogram &HS = Serial.histograms().at("jobs.cost");
-  const Histogram &HF = Folded.histograms().at("jobs.cost");
-  EXPECT_EQ(HF.count(), HS.count());
-  EXPECT_EQ(HF.sum(), HS.sum());
-  EXPECT_EQ(HF.min(), HS.min());
-  EXPECT_EQ(HF.max(), HS.max());
-  EXPECT_EQ(HF.bucketCounts(), HS.bucketCounts());
 }
 
 // -- Time-series sampler ---------------------------------------------------
@@ -508,6 +418,50 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
   EXPECT_TRUE(JsonValue::parse("  [1, 2, 3]  ", Out));
 }
 
+// Seeded mutation test of the JSON reader, which loads every document
+// sprof-inspect and the schema checks read: byte flips, truncations and
+// splices of a run report and of a document with every value form. Each
+// mutant must parse, or fail with a non-empty diagnostic; a parsed
+// mutant must write out as JSON that parses again.
+TEST(ObsJson, MutatedDocumentsParseOrFailCleanly) {
+  ChaseWorkload W;
+  PipelineConfig Config;
+  Config.Obs.Enabled = true;
+  Config.Memory.EnableAttribution = true;
+  Pipeline P(W, Config);
+  ProfileRunResult Prof =
+      P.runProfile(ProfilingMethod::EdgeCheck, DataSet::Train);
+  TimedRunResult Timed =
+      P.runPrefetched(DataSet::Train, Prof.Edges, Prof.Strides);
+  const std::vector<std::string> Docs = {
+      buildRunReport(W.info().Name, P.config(), &Prof, &Timed, nullptr,
+                     P.obs())
+          .str(),
+      R"({"s": "a\"b\\c\n\u00e9\t", "n": [-1.5e3, 0, 0.25, 18446744073709551615],)"
+      R"( "b": [true, false, null], "o": {"e": [], "k": {}}})"};
+
+  static constexpr char Syntax[] = "{}[]:,\"\\-+.eE0123456789tfnul \n";
+  unsigned Accepted = 0, Rejected = 0;
+  test::forEachMutant(
+      Docs, {Syntax, sizeof(Syntax) - 1}, 0x150e5eedULL,
+      [&](const std::string &Mutant, const char *Kind) {
+        JsonValue Out;
+        std::string Error;
+        if (JsonValue::parse(Mutant, Out, &Error)) {
+          ++Accepted;
+          JsonValue Again;
+          EXPECT_TRUE(JsonValue::parse(Out.str(), Again, &Error))
+              << Kind << " mutant re-parse: " << Error;
+        } else {
+          ++Rejected;
+          EXPECT_FALSE(Error.empty()) << Kind << " mutant: " << Mutant;
+        }
+      });
+  EXPECT_EQ(Accepted + Rejected, Docs.size() * 300);
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+}
+
 // -- Run reports -----------------------------------------------------------
 
 TEST(ObsReport, RunReportRoundTripsWithStableSchema) {
@@ -640,7 +594,7 @@ TEST(ObsReport, ReportV2ParsesUnderV1Reader) {
 
   JsonValue Report =
       buildRunReport(W.info().Name, P.config(), &Prof, &Timed, &Baseline,
-                     P.obs(), ReportOptions{}, &Diff);
+                     P.obs(), &Diff);
   JsonValue Back;
   ASSERT_TRUE(JsonValue::parse(Report.str(), Back));
 

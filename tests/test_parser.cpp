@@ -14,7 +14,6 @@
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "prefetch/PrefetchInsertion.h"
-#include "support/Random.h"
 
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
@@ -182,44 +181,20 @@ TEST(Parser, MutatedModulesParseOrFailCleanly) {
   for (const auto &W : makeSpecIntSuite())
     Texts.push_back(printToString(W->build(DataSet::Train).M));
 
-  // Bytes that steer the parser into its structural paths, besides
-  // arbitrary ones.
-  static const char Syntax[] = "rp0123456789-+,;:()[]{}= \n\t\0";
-  Rng R(0x5eed5eedULL);
+  static constexpr char Syntax[] = "rp0123456789-+,;:()[]{}= \n\t\0";
   unsigned Accepted = 0, Rejected = 0;
-  auto check = [&](const std::string &Mutant, const char *Kind) {
-    ParseResult PR = parseModule(Mutant);
-    if (PR.Ok) {
-      ++Accepted;
-      (void)isWellFormed(PR.M);
-    } else {
-      ++Rejected;
-      EXPECT_FALSE(PR.Error.empty()) << Kind << " mutant: " << Mutant;
-    }
-  };
-
-  for (size_t T = 0; T != Texts.size(); ++T) {
-    const std::string &Text = Texts[T];
-    for (int K = 0; K != 200; ++K) {
-      std::string M = Text;
-      for (uint64_t F = 1 + R.below(4); F != 0; --F) {
-        char &B = M[R.below(M.size())];
-        if (R.chancePercent(50))
-          B = Syntax[R.below(sizeof(Syntax) - 1)];
-        else
-          B = static_cast<char>(B ^ (1u << R.below(8)));
-      }
-      check(M, "flip");
-    }
-    for (int K = 0; K != 50; ++K)
-      check(Text.substr(0, R.below(Text.size())), "truncation");
-    for (int K = 0; K != 50; ++K) {
-      const std::string &Other = Texts[R.below(Texts.size())];
-      check(Text.substr(0, R.below(Text.size())) +
-                Other.substr(R.below(Other.size())),
-            "splice");
-    }
-  }
+  test::forEachMutant(
+      Texts, {Syntax, sizeof(Syntax) - 1}, 0x5eed5eedULL,
+      [&](const std::string &Mutant, const char *Kind) {
+        ParseResult PR = parseModule(Mutant);
+        if (PR.Ok) {
+          ++Accepted;
+          (void)isWellFormed(PR.M);
+        } else {
+          ++Rejected;
+          EXPECT_FALSE(PR.Error.empty()) << Kind << " mutant: " << Mutant;
+        }
+      });
   EXPECT_EQ(Accepted + Rejected, Texts.size() * 300);
   // Both outcomes occur, so the mutants reach past the header and into
   // the error paths alike.

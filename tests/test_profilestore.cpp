@@ -226,6 +226,21 @@ TEST(ProfileStore, LoadRejectsMalformedFiles) {
       std::string(ProfileFileSchemaV1) + "\nshape 2\n", Ignored, &Error));
   EXPECT_NE(Error.find("shape"), std::string::npos) << Error;
 
+  // Signed and oversized shapes: stream extraction would wrap "-4" to
+  // 2^32-4 sites, and loading allocates per declared site and function.
+  for (const char *Shape : {"shape -2 4", "shape 2 -4", "shape 2 +4",
+                            "shape 2 99999999999", "shape 1048577 4"}) {
+    EXPECT_FALSE(ProfileStore::loadString(
+        std::string(ProfileFileSchemaV1) + "\n" + Shape + "\n", Ignored,
+        &Error))
+        << Shape;
+    EXPECT_NE(Error.find("shape"), std::string::npos) << Error;
+  }
+  EXPECT_TRUE(ProfileStore::loadString(
+      std::string(ProfileFileSchemaV1) + "\nshape 1048576 4\n", Ignored,
+      &Error))
+      << Error;
+
   // Valid header, malformed bodies: unknown record kind, ids outside the
   // declared shape, and a corrupt stride pair.
   std::string Hdr = std::string(ProfileFileSchemaV1) + "\nshape 2 4\n";
@@ -242,6 +257,51 @@ TEST(ProfileStore, LoadRejectsMalformedFiles) {
 
   // Empty input.
   EXPECT_FALSE(ProfileStore::loadString("", Ignored, &Error));
+}
+
+// Seeded mutation test of the profile loader: byte flips, truncations and
+// splices of synthetic stores, of a real pipeline profile, and of an empty
+// profile whose header makes up all of its bytes. Each mutant
+// must load, or fail with a non-empty diagnostic; a loaded mutant must
+// save to text that loads back to the same bytes. Nothing may crash or
+// allocate without bound.
+TEST(ProfileStore, MutatedProfilesLoadOrFailCleanly) {
+  ChaseWorkload W;
+  Pipeline P(W);
+  ProfileRunResult Prof =
+      P.runProfile(ProfilingMethod::EdgeCheck, DataSet::Train,
+                   /*WithMemorySystem=*/false);
+  const std::vector<std::string> Texts = {
+      makeStore(6, 1).toString(),
+      makeStore(3, 5, {"", "", ""}).toString(),
+      ProfileStore({W.info().Name, "edge-check", "train"}, Prof.Edges,
+                   Prof.Strides)
+          .toString(),
+      ProfileStore({"w", "m", "d"}, EdgeProfile(2), StrideProfile(4))
+          .toString()};
+
+  static constexpr char Syntax[] = "0123456789-: \nshapeitdgrvoz";
+  unsigned Loaded = 0, Rejected = 0;
+  forEachMutant(Texts, {Syntax, sizeof(Syntax) - 1}, 0x9f0f11eULL,
+                [&](const std::string &Mutant, const char *Kind) {
+                  ProfileStore Store;
+                  std::string Error;
+                  if (ProfileStore::loadString(Mutant, Store, &Error)) {
+                    ++Loaded;
+                    const std::string Saved = Store.toString();
+                    ProfileStore Back;
+                    ASSERT_TRUE(ProfileStore::loadString(Saved, Back, &Error))
+                        << Kind << " mutant re-load: " << Error;
+                    EXPECT_EQ(Back.toString(), Saved) << Kind << " mutant";
+                  } else {
+                    ++Rejected;
+                    EXPECT_FALSE(Error.empty())
+                        << Kind << " mutant: " << Mutant;
+                  }
+                });
+  EXPECT_EQ(Loaded + Rejected, Texts.size() * 300);
+  EXPECT_GT(Loaded, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 TEST(ProfileStore, SaveLoadFeedbackEquivalence) {

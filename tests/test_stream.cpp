@@ -521,6 +521,165 @@ private:
 // flip the writer into a reported failure -- at the batch that hit the
 // short write, or at the latest in finish() -- never silently produce a
 // truncated trace that claims ok().
+// Replay indexes its per-function edge tables by the records' function
+// ids, so a record naming a function past the section's count is
+// corruption in both encodings.
+TEST(TraceFile, EdgeRecordsOutsideTheFunctionCountAreCorrupt) {
+  TraceEdgeSection Entry, EdgeRec;
+  Entry.Present = EdgeRec.Present = true;
+  Entry.NumFunctions = EdgeRec.NumFunctions = 2;
+  Entry.Entries.push_back({2, 7});
+  EdgeRec.Edges.push_back({5, 0, 0, 7});
+  for (const TraceEdgeSection *S : {&Entry, &EdgeRec})
+    for (bool Text : {false, true}) {
+      SCOPED_TRACE(Text ? "text" : "binary");
+      std::stringstream SS;
+      {
+        TraceWriter W(SS, 1, {}, Text);
+        W.setEdgeSection(*S);
+        W.finish();
+        ASSERT_TRUE(W.ok()) << W.error();
+      }
+      TraceReader R(SS);
+      drainAll(R);
+      EXPECT_FALSE(R.ok());
+      EXPECT_EQ(R.errorCode(), TraceError::Corrupt);
+    }
+}
+
+// A damaged record count in the trailer must run into the end of the
+// input, not into an allocation of its size: the edge section's entry
+// count and the shard index's chunk count are each rewritten to a huge
+// varint, and the reader must fail with a typed error.
+TEST(TraceFile, DamagedTrailerCountsFailWithoutAllocating) {
+  auto Rewrite = [](std::string Data, const std::string &Pattern,
+                    size_t CountAt, const std::string &Count) {
+    const size_t At = Data.rfind(Pattern);
+    EXPECT_NE(At, std::string::npos);
+    if (At != std::string::npos)
+      Data.replace(At + CountAt, 1, Count);
+    return Data;
+  };
+  std::string EdgesData, IndexData;
+  {
+    // A /1 trace with no events and an empty edge section over three
+    // functions: its trailer holds [edges tag 1, 3 functions, 0 entries,
+    // 0 edges].
+    std::stringstream SS;
+    TraceWriter W(SS, 1, {}, /*Text=*/false, /*IndexInterval=*/0);
+    TraceEdgeSection S;
+    S.Present = true;
+    S.NumFunctions = 3;
+    W.setEdgeSection(S);
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
+    EdgesData = Rewrite(SS.str(), std::string("\x01\x03\x00\x00", 4), 2,
+                        "\x80\x80\x80\x80\x80\x20"); // 2^40 entries
+  }
+  {
+    // 100 events at 64 per chunk: the index section opens with [index
+    // tag 2, interval 64, 2 chunks].
+    std::stringstream SS;
+    TraceWriter W(SS, 5, {}, /*Text=*/false, /*IndexInterval=*/64);
+    const std::vector<AccessEvent> Events = patternEvents(100);
+    W.onBatch(Events.data(), Events.size());
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
+    IndexData = Rewrite(SS.str(), "\x02\x40\x02", 2,
+                        "\x80\x80\x80\x80\x01"); // 2^28 chunks
+  }
+  for (const std::string *Data : {&EdgesData, &IndexData}) {
+    std::istringstream IS(*Data);
+    TraceReader R(IS);
+    drainAll(R);
+    EXPECT_FALSE(R.ok());
+    EXPECT_TRUE(R.errorCode() == TraceError::Truncated ||
+                R.errorCode() == TraceError::Corrupt)
+        << traceErrorName(R.errorCode()) << ": " << R.error();
+  }
+}
+
+// Seeded mutation test of the trace reader over every container form:
+// binary /1, binary /2 read sequentially, /2 opened through
+// openFileIndexed with every chunk decoded by openShard, and text. Each
+// form has a long seed and a short one whose header, index and edge
+// section make up most of its bytes. Every reader of a mutant must reach
+// a clean end, or fail with a typed error code and a non-empty
+// diagnostic. Nothing may crash or allocate without bound.
+TEST(TraceFile, MutatedTracesDecodeOrFailCleanly) {
+  const std::vector<AccessEvent> Long = patternEvents(600);
+  const std::vector<AccessEvent> Short = patternEvents(24);
+  EdgeProfile EP(2);
+  EP.setEntryCount(0, 3);
+  EP.setEntryCount(1, 41);
+  EP.setFrequency(0, Edge{0, 0}, 17);
+  EP.setFrequency(1, Edge{1, 0}, 9);
+  auto Encode = [&](const std::vector<AccessEvent> &Events, bool Text,
+                    uint64_t IndexInterval) {
+    std::stringstream SS;
+    TraceWriter W(SS, 5, {"unit.workload", "train", "edge-check"}, Text,
+                  IndexInterval);
+    W.setEdgeSection(edgeSectionFromProfile(EP));
+    W.onBatch(Events.data(), Events.size());
+    W.finish();
+    EXPECT_TRUE(W.ok()) << W.error();
+    return SS.str();
+  };
+
+  unsigned Clean = 0, Failed = 0;
+  auto Settle = [&](TraceReader &R, const char *Kind) {
+    drainAll(R);
+    if (R.ok()) {
+      ++Clean;
+      EXPECT_TRUE(R.atEnd()) << Kind << " mutant: ok but short";
+    } else {
+      ++Failed;
+      EXPECT_NE(R.errorCode(), TraceError::None) << Kind << " mutant";
+      EXPECT_FALSE(R.error().empty()) << Kind << " mutant";
+    }
+  };
+  auto Sequential = [&](const std::string &Mutant, const char *Kind) {
+    std::istringstream IS(Mutant);
+    TraceReader R(IS);
+    Settle(R, Kind);
+  };
+
+  static constexpr char BinarySyntax[] = "\0\1\2\x7f\x80\xff";
+  static constexpr char TextSyntax[] = "0123456789-:,# \nLPxsitedg";
+  const std::string_view Binary(BinarySyntax, sizeof(BinarySyntax) - 1);
+  const std::vector<std::string> Indexed = {Encode(Long, false, 64),
+                                            Encode(Short, false, 4)};
+  test::forEachMutant({Encode(Long, false, 0), Encode(Short, false, 0)},
+                      Binary, 0x7ace1ULL, Sequential);
+  test::forEachMutant(Indexed, Binary, 0x7ace2ULL, Sequential);
+  test::forEachMutant({Encode(Long, true, 0), Encode(Short, true, 0)},
+                      TextSyntax, 0x7ace3ULL, Sequential);
+
+  const std::string Path = tmpPath("mutant.sprof.trace");
+  test::forEachMutant(
+      Indexed, Binary, 0x7ace4ULL,
+      [&](const std::string &Mutant, const char *Kind) {
+        {
+          std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+          OS << Mutant;
+          ASSERT_TRUE(OS.good());
+        }
+        auto R = TraceReader::openFileIndexed(Path);
+        if (!R->ok() || !R->index().Present) {
+          Settle(*R, Kind);
+          return;
+        }
+        for (size_t C = 0; C != R->index().numChunks(); ++C) {
+          auto SR = TraceReader::openShard(Path, R->index(), C);
+          Settle(*SR, Kind);
+        }
+      });
+  std::remove(Path.c_str());
+
+  EXPECT_GT(Clean, 0u);
+  EXPECT_GT(Failed, 0u);
+}
+
 TEST(TraceFile, WriterReportsSinkFailures) {
   const std::vector<AccessEvent> Events = patternEvents(5000);
   for (size_t Limit : {size_t(0), size_t(64), size_t(4096)}) {

@@ -59,7 +59,10 @@
 /// Exit status: 0 on success, 1 on usage/IO/parse errors. Unknown
 /// subcommands, malformed JSON, and documents of another kind or another
 /// schema version than the current one all diagnose to
-/// stderr and exit 1; they never crash or silently succeed.
+/// stderr and exit 1; they never crash or silently succeed. Options are
+/// strict too: --top takes a positive decimal count, and an option given
+/// to a subcommand that does not read it prints the usage line and exits
+/// 1 rather than being ignored.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +77,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -696,7 +699,7 @@ int runImport(const std::string &LogPath, const std::string &OutPath) {
 
 // -- sweep -----------------------------------------------------------------
 
-int runSweepReport(const std::string &Path, size_t TopN) {
+int runEngineSweep(const std::string &Path, size_t TopN) {
   JsonValue Doc;
   if (!loadDocument(Path, SweepReportSchemaV1, Doc))
     return 1;
@@ -856,25 +859,47 @@ int usage() {
   return 1;
 }
 
+/// Parses a --top value: one or more decimal digits (no sign, no
+/// whitespace) naming a positive count that fits in size_t.
+bool parseTop(const char *Text, size_t &Out) {
+  if (*Text == '\0')
+    return false;
+  size_t V = 0;
+  for (const char *C = Text; *C; ++C) {
+    if (*C < '0' || *C > '9')
+      return false;
+    const size_t Digit = static_cast<size_t>(*C - '0');
+    if (V > (SIZE_MAX - Digit) / 10)
+      return false;
+    V = V * 10 + Digit;
+  }
+  Out = V;
+  return V != 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   std::vector<std::string> Args;
   std::string JsonOut;
+  bool HasJson = false, HasTop = false;
   size_t TopN = 15;
   for (int I = 1; I != Argc; ++I) {
     if (std::strncmp(Argv[I], "--json=", 7) == 0) {
       JsonOut = Argv[I] + 7;
+      HasJson = true;
+      if (JsonOut.empty()) {
+        std::cerr << "sprof-inspect: --json needs a path\n";
+        return usage();
+      }
     } else if (std::strncmp(Argv[I], "--top=", 6) == 0) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Argv[I] + 6, &End, 10);
-      if (!End || *End != '\0' || V == 0) {
+      HasTop = true;
+      if (!parseTop(Argv[I] + 6, TopN)) {
         std::cerr << "sprof-inspect: bad --top value '" << (Argv[I] + 6)
                   << "' (want a positive integer)\n";
-        return 1;
+        return usage();
       }
-      TopN = V;
-    } else if (Argv[I][0] == '-') {
+    } else if (Argv[I][0] == '-' && Argv[I][1] != '\0') {
       std::cerr << "sprof-inspect: unknown option '" << Argv[I] << "'\n";
       return usage();
     } else {
@@ -885,6 +910,17 @@ int main(int Argc, char **Argv) {
     return usage();
 
   const std::string &Cmd = Args[0];
+  // Each option belongs to the subcommands that read it; anywhere else it
+  // would be silently ignored, so it is a usage error.
+  if (HasJson && Cmd != "diff") {
+    std::cerr << "sprof-inspect: --json applies only to 'diff'\n";
+    return usage();
+  }
+  if (HasTop && Cmd != "hotspots" && Cmd != "trace" && Cmd != "sweep") {
+    std::cerr << "sprof-inspect: --top applies only to 'hotspots', "
+                 "'trace' and 'sweep'\n";
+    return usage();
+  }
   auto WantArgs = [&](size_t N, const char *Shape) {
     if (Args.size() == N + 1)
       return true;
@@ -910,7 +946,7 @@ int main(int Argc, char **Argv) {
                : 1;
   if (Cmd == "sweep")
     return WantArgs(1, "one sweep-report path")
-               ? runSweepReport(Args[1], TopN)
+               ? runEngineSweep(Args[1], TopN)
                : 1;
   if (Cmd == "blackbox")
     return WantArgs(1, "one flight-recorder dump path")
