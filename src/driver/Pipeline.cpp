@@ -8,7 +8,9 @@
 #include "driver/Pipeline.h"
 
 #include "driver/ParallelReplay.h"
+#include "driver/RunMemo.h"
 #include "driver/TraceReplay.h"
+#include "interp/ProgramCache.h"
 #include "ir/Verifier.h"
 #include "obs/SelfProfiler.h"
 #include "obs/Trace.h"
@@ -175,6 +177,52 @@ ProfileRunResult Pipeline::profileFromStream(AccessSource &Src,
   return Result;
 }
 
+/// Executes \p Prog, the workload's \p DS build (prefetched or not),
+/// through the process-wide run memo (driver/RunMemo.h): the first request
+/// for the run's content executes it, every later or concurrent one shares
+/// its RunStats and attribution. \p Phase labels the self-profiler bucket.
+static TimedRun executeTimed(const Workload &W, const PipelineConfig &Config,
+                             ObsSession *Obs, Program &Prog, DataSet DS,
+                             bool Attribution, const char *Phase) {
+  RunKey K;
+  K.Module = ProgramCache::hashModule(Prog.M);
+  K.Workload = reinterpret_cast<uintptr_t>(&W);
+  K.Name = W.info().Name;
+  K.DS = DS;
+  K.SeedOffset = Config.WorkloadSeedOffset;
+  K.Timing = Config.Timing;
+  K.Interp = Config.Interp;
+  K.Memory = Config.Memory;
+  K.Attribution = Attribution;
+  bool Executed = false;
+  TimedRun R = RunMemo::global().run(
+      K,
+      [&] {
+        Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing,
+                      Config.Interp);
+        MemoryHierarchy MH(Config.Memory);
+        if (Attribution)
+          MH.enableAttribution(Prog.M.NumLoadSites);
+        I.attachMemory(&MH);
+        I.attachObs(Obs);
+        labelSelfProfile(Obs, W, Phase);
+        TimedRun Out;
+        {
+          TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
+          Out.Stats = I.run();
+        }
+        MH.finalizeAttribution();
+        Out.Attribution = MH.attribution();
+        return Out;
+      },
+      Executed);
+  if (Obs)
+    Obs->counter(Executed ? "engine.run_memo_misses"
+                          : "engine.run_memo_hits")
+        ->inc();
+  return R;
+}
+
 RunStats Pipeline::runBaseline(DataSet DS) const {
   ObsSession *Obs = Session;
   TraceSpan Span(Obs, "run-baseline", "pipeline", /*Level=*/1);
@@ -184,16 +232,9 @@ RunStats Pipeline::runBaseline(DataSet DS) const {
     return W.build({DS, Config.WorkloadSeedOffset});
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
-  Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
-  MemoryHierarchy MH(Config.Memory);
-  I.attachMemory(&MH);
-  I.attachObs(Obs);
-  labelSelfProfile(Obs, W, "baseline");
-  RunStats Stats;
-  {
-    TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
-    Stats = I.run();
-  }
+  RunStats Stats = executeTimed(W, Config, Obs, Prog, DS,
+                                /*Attribution=*/false, "baseline")
+                       .Stats;
   assert(Stats.Completed && "baseline run did not complete");
 
   if (Obs) {
@@ -218,20 +259,11 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   Result.Prefetches = insertPrefetches(Prog.M, Result.Feedback, Obs);
   assert(isWellFormed(Prog.M) && "prefetch insertion broke the module");
 
-  Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
-  MemoryHierarchy MH(Config.Memory);
-  if (Config.Memory.EnableAttribution)
-    MH.enableAttribution(Prog.M.NumLoadSites);
-  I.attachMemory(&MH);
-  I.attachObs(Obs);
-  labelSelfProfile(Obs, W, "timed");
-  {
-    TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
-    Result.Stats = I.run();
-  }
+  TimedRun Run = executeTimed(W, Config, Obs, Prog, DS,
+                              Config.Memory.EnableAttribution, "timed");
+  Result.Stats = std::move(Run.Stats);
+  Result.Attribution = std::move(Run.Attribution);
   assert(Result.Stats.Completed && "prefetched run did not complete");
-  MH.finalizeAttribution();
-  Result.Attribution = MH.attribution();
 
   if (Obs) {
     Obs->counter("pipeline.timed_runs")->inc();

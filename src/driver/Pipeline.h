@@ -146,7 +146,10 @@ public:
   ProfileRunResult profileFromStream(AccessSource &Src, ProfilingMethod Method,
                                      unsigned Threads = 1) const;
 
-  /// Baseline timed run (no instrumentation, no prefetching).
+  /// Baseline timed run (no instrumentation, no prefetching). This and
+  /// runPrefetched's execution go through the process-wide run memo
+  /// (driver/RunMemo.h): a run with the same module, build and configs as
+  /// an earlier or concurrent one shares its result instead of executing.
   RunStats runBaseline(DataSet DS) const;
 
   /// Steps 3-4: classify (\p Edges, \p Strides), insert prefetches, run.

@@ -123,6 +123,8 @@ struct RunStats {
   /// sum; SiteCounts widens to the larger vector and sums element-wise;
   /// Completed ANDs; ExitValue keeps the last accumulated run's value.
   RunStats &operator+=(const RunStats &Other);
+
+  bool operator==(const RunStats &) const = default;
 };
 
 /// Opcode-mix tallies both execution engines maintain during a run and

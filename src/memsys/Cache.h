@@ -164,6 +164,8 @@ struct MemoryStats {
   struct LevelStats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
+
+    bool operator==(const LevelStats &) const = default;
   };
   std::vector<LevelStats> Levels;
   uint64_t DemandAccesses = 0;
@@ -198,6 +200,8 @@ struct MemoryStats {
     StallCycles += Other.StallCycles;
     return *this;
   }
+
+  bool operator==(const MemoryStats &) const = default;
 };
 
 /// One set-associative, LRU, timing-aware cache level.

@@ -7,6 +7,7 @@
 
 #include "obs/FlightRecorder.h"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -50,12 +51,28 @@ uint64_t monotonicNowNs() {
           .count());
 }
 
+// Seqlock payload bytes move through atomic_ref, which must stay lock-free
+// for the signal-handler dump to be async-signal-safe.
+static_assert(std::atomic_ref<char>::is_always_lock_free);
+
+/// Writes \p Src (truncated to \p Cap - 1 bytes) into a seqlock payload
+/// buffer. Release stores: a reader that sees any new byte also sees the
+/// odd sequence number stored before it, so its recheck rejects the copy.
 void copyStr(char *Dst, size_t Cap, const char *Src) {
   size_t N = 0;
   if (Src)
     for (; Src[N] && N + 1 < Cap; ++N)
-      Dst[N] = Src[N];
-  Dst[N] = '\0';
+      std::atomic_ref<char>(Dst[N]).store(Src[N], std::memory_order_release);
+  std::atomic_ref<char>(Dst[N]).store('\0', std::memory_order_release);
+}
+
+/// Reads a seqlock payload buffer into \p Dst; the acquire loads keep the
+/// caller's sequence recheck after them.
+void loadStr(char *Dst, const char *Src, size_t Cap) {
+  for (size_t N = 0; N != Cap; ++N)
+    Dst[N] = std::atomic_ref<char>(const_cast<char &>(Src[N]))
+                 .load(std::memory_order_acquire);
+  Dst[Cap - 1] = '\0';
 }
 
 /// Buffered fd writer; every call is async-signal-safe (write(2) only).
@@ -220,9 +237,9 @@ void FlightRecorder::record(uint32_t Worker, FlightEventKind Kind,
   // the sequence to the event index lets readers reject slots that a
   // lapped writer has already reused for a newer event.
   S.Seq.store(2 * Idx + 1, std::memory_order_release);
-  S.TsUs = nowUs();
-  S.Kind = Kind;
-  S.Ok = Ok;
+  S.TsUs.store(nowUs(), std::memory_order_release);
+  S.Kind.store(Kind, std::memory_order_release);
+  S.Ok.store(Ok, std::memory_order_release);
   copyStr(S.Name, NameCap, Name);
   copyStr(S.Detail, DetailCap, Detail);
   S.Seq.store(2 * Idx + 2, std::memory_order_release);
@@ -248,9 +265,7 @@ bool FlightRecorder::dumpFd(int Fd, const char *Reason) const {
     W.raw(L.InFlight.load(std::memory_order_acquire) ? "true" : "false");
     char Job[NameCap];
     uint64_t S1 = L.JobSeq.load(std::memory_order_acquire);
-    for (size_t N = 0; N != NameCap; ++N)
-      Job[N] = L.CurrentJob[N];
-    Job[NameCap - 1] = '\0';
+    loadStr(Job, L.CurrentJob, NameCap);
     if ((S1 & 1) != 0 || L.JobSeq.load(std::memory_order_acquire) != S1)
       Job[0] = '\0'; // torn copy; drop rather than mislead
     W.raw(",\"current_job\":");
@@ -264,16 +279,12 @@ bool FlightRecorder::dumpFd(int Fd, const char *Reason) const {
       uint64_t Want = 2 * Idx + 2;
       if (S.Seq.load(std::memory_order_acquire) != Want)
         continue; // mid-write or already lapped
-      uint64_t TsUs = S.TsUs;
-      FlightEventKind Kind = S.Kind;
-      bool Ok = S.Ok;
+      uint64_t TsUs = S.TsUs.load(std::memory_order_acquire);
+      FlightEventKind Kind = S.Kind.load(std::memory_order_acquire);
+      bool Ok = S.Ok.load(std::memory_order_acquire);
       char Name[NameCap], Detail[DetailCap];
-      for (size_t N = 0; N != NameCap; ++N)
-        Name[N] = S.Name[N];
-      for (size_t N = 0; N != DetailCap; ++N)
-        Detail[N] = S.Detail[N];
-      Name[NameCap - 1] = '\0';
-      Detail[DetailCap - 1] = '\0';
+      loadStr(Name, S.Name, NameCap);
+      loadStr(Detail, S.Detail, DetailCap);
       if (S.Seq.load(std::memory_order_acquire) != Want)
         continue; // changed under us
       if (!First)

@@ -126,11 +126,15 @@ public:
   uint64_t nowUs() const;
 
 private:
+  /// Every payload field is written and read through atomics (the char
+  /// buffers through std::atomic_ref), so a dump racing a write reads
+  /// stale or torn bytes, never undefined behaviour; the sequence check
+  /// then discards the torn copy.
   struct Slot {
     std::atomic<uint64_t> Seq{0}; ///< odd while mid-write
-    uint64_t TsUs = 0;
-    FlightEventKind Kind = FlightEventKind::Mark;
-    bool Ok = true;
+    std::atomic<uint64_t> TsUs{0};
+    std::atomic<FlightEventKind> Kind{FlightEventKind::Mark};
+    std::atomic<bool> Ok{true};
     char Name[NameCap] = {0};
     char Detail[DetailCap] = {0};
   };

@@ -7,6 +7,7 @@
 #include "obs/Json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -370,17 +371,28 @@ private:
     if (Pos == Start)
       return fail("expected a value");
     std::string Num(Text.substr(Start, Pos - Start));
+    const char *NumEnd = Num.c_str() + Num.size();
     char *End = nullptr;
     if (!IsDouble) {
+      errno = 0;
       long long V = std::strtoll(Num.c_str(), &End, 10);
-      if (End == Num.c_str() + Num.size()) {
+      if (End == NumEnd) {
+        // strtoll clamps on overflow. Writers store a uint64 above
+        // INT64_MAX as its negative int64 bit pattern, so every value
+        // they write is in range.
+        if (errno == ERANGE)
+          return fail("integer out of range");
         Out = JsonValue(static_cast<int64_t>(V));
         return true;
       }
     }
     double V = std::strtod(Num.c_str(), &End);
-    if (End != Num.c_str() + Num.size())
+    if (End != NumEnd)
       return fail("malformed number");
+    // Overflow reads as infinity, which JSON cannot hold (it would write
+    // back as null); underflow rounds to a finite value and is kept.
+    if (!std::isfinite(V))
+      return fail("number out of range");
     Out = JsonValue(V);
     return true;
   }

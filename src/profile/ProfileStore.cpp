@@ -7,6 +7,8 @@
 
 #include "profile/ProfileStore.h"
 
+#include "stream/TraceFile.h"
+
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -18,11 +20,6 @@ static void setError(std::string *Error, std::string Message) {
   if (Error)
     *Error = std::move(Message);
 }
-
-/// The largest function or load-site count a shape line may declare.
-/// Loading allocates a table entry per declared function and site, so a
-/// damaged shape must not demand gigabytes; no workload comes near this.
-static constexpr uint64_t MaxShapeCount = uint64_t{1} << 20;
 
 /// Parses one shape count: decimal digits only, since stream extraction
 /// into an unsigned type takes a sign and wraps "-1" to the type's

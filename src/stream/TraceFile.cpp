@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -801,10 +802,11 @@ bool TraceReader::parseFooter() {
       uint64_t NumFuncs, NumEntries;
       if (!getVarint(NumFuncs) || !getVarint(NumEntries))
         return false;
-      if (NumFuncs > UINT32_MAX) {
+      if (NumFuncs > MaxShapeCount) {
         fail(TraceError::Corrupt, "edge-section function count " +
                                       std::to_string(NumFuncs) +
-                                      " out of range");
+                                      " out of range (at most " +
+                                      std::to_string(MaxShapeCount) + ")");
         return false;
       }
       EdgeSec.Present = true;
@@ -991,9 +993,22 @@ bool TraceReader::parseTextLine(const std::string &Line, AccessEvent &E,
       return false;
     }
     if (L.rfind("edges ", 0) == 0) {
+      // Digits only: strtoul would take a sign and wrap "-1".
+      uint64_t NumFuncs = 0;
+      bool CountOk = L.size() > 6;
+      for (size_t I = 6; CountOk && I != L.size(); ++I) {
+        CountOk = L[I] >= '0' && L[I] <= '9';
+        NumFuncs = NumFuncs * 10 + static_cast<uint64_t>(L[I] - '0');
+        CountOk = CountOk && NumFuncs <= MaxShapeCount;
+      }
+      if (!CountOk) {
+        fail(TraceError::Corrupt,
+             "malformed edges line: '" + L + "' (want a function count of " +
+                 "at most " + std::to_string(MaxShapeCount) + ")");
+        return false;
+      }
       EdgeSec.Present = true;
-      EdgeSec.NumFunctions =
-          static_cast<uint32_t>(std::strtoul(L.c_str() + 6, nullptr, 10));
+      EdgeSec.NumFunctions = static_cast<uint32_t>(NumFuncs);
       for (;;) {
         if (!readLine(L)) {
           fail(TraceError::Truncated, "file ends inside the edges block");
@@ -1097,6 +1112,26 @@ bool TraceReader::reset() {
 // importAccessLog
 //===----------------------------------------------------------------------===//
 
+/// Parses an access-log number: decimal, or hexadecimal after a 0x prefix
+/// when \p AllowHex. Digits only, unlike a bare strtoull, which would take
+/// a sign (wrapping "-1" to 2^64-1), read a leading 0 as octal, and clamp
+/// values past 64 bits.
+static bool parseLogNumber(const std::string &S, bool AllowHex,
+                           uint64_t &Out) {
+  const bool Hex = AllowHex && S.size() > 2 && S[0] == '0' &&
+                   (S[1] == 'x' || S[1] == 'X');
+  const std::string Digits = Hex ? S.substr(2) : S;
+  if (Digits.empty())
+    return false;
+  for (char C : Digits)
+    if (!(Hex ? std::isxdigit(static_cast<unsigned char>(C))
+              : std::isdigit(static_cast<unsigned char>(C))))
+      return false;
+  errno = 0;
+  Out = std::strtoull(Digits.c_str(), nullptr, Hex ? 16 : 10);
+  return errno != ERANGE;
+}
+
 std::optional<TraceImportResult>
 importAccessLog(std::istream &In, const std::string &OutPath,
                 std::string *Error) {
@@ -1140,13 +1175,13 @@ importAccessLog(std::istream &In, const std::string &OutPath,
     for (char &C : KindS)
       C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
 
-    char *EndP = nullptr;
-    const unsigned long long Addr = std::strtoull(AddrS.c_str(), &EndP, 0);
-    if (AddrS.empty() || *EndP != '\0')
+    uint64_t Addr = 0, Site = 0;
+    if (!parseLogNumber(AddrS, /*AllowHex=*/true, Addr))
       return Fail("line " + std::to_string(LineNo) + ": bad address '" +
                   AddrS + "'");
-    const unsigned long long Site = std::strtoull(SiteS.c_str(), &EndP, 10);
-    if (SiteS.empty() || *EndP != '\0' || Site > 0xffffffffull)
+    // The trace's site count (highest id plus one) must fit in 32 bits.
+    if (!parseLogNumber(SiteS, /*AllowHex=*/false, Site) ||
+        Site >= 0xffffffffull)
       return Fail("line " + std::to_string(LineNo) + ": bad site id '" +
                   SiteS + "'");
     AccessKind Kind;

@@ -87,6 +87,12 @@ struct TraceEdgeRecord {
   uint32_t Slot = 0;
   uint64_t Count = 0;
 };
+/// The largest function or load-site count a trace edge section or a
+/// profile shape line (profile/ProfileStore.h) may declare. Readers
+/// allocate a table entry per declared function and site, so a damaged
+/// count must not demand gigabytes; no workload comes near this.
+inline constexpr uint64_t MaxShapeCount = uint64_t{1} << 20;
+
 struct TraceEdgeSection {
   bool Present = false;
   uint32_t NumFunctions = 0;

@@ -14,6 +14,7 @@
 
 #include "driver/Engine.h"
 #include "driver/Experiments.h"
+#include "driver/RunMemo.h"
 #include "instrument/Instrumentation.h"
 #include "interp/ProgramCache.h"
 #include "obs/FlightRecorder.h"
@@ -805,6 +806,265 @@ TEST(ExperimentEngine, MemoBypassedWhileCapturingTraces) {
     EXPECT_EQ(Engine.lastOutcomes().size(), 1u);
   }
   std::remove(Config.TraceCapturePath.c_str());
+}
+
+// -- Run memo ---------------------------------------------------------------
+
+/// A counter's value in \p Reg, 0 when it was never touched.
+uint64_t counterValue(const MetricsRegistry &Reg, const std::string &Name) {
+  auto It = Reg.counters().find(Name);
+  return It == Reg.counters().end() ? 0 : It->second.value();
+}
+
+ObsConfig metricsOnly() {
+  ObsConfig C;
+  C.Enabled = true;
+  return C;
+}
+
+/// A RunKey no real run has, distinguished by \p Tag.
+RunKey fakeKey(uint64_t Tag) {
+  RunKey K;
+  K.Module = {Tag, ~Tag};
+  K.Name = "test.fake";
+  return K;
+}
+
+TimedRun runWithCycles(uint64_t Cycles) {
+  TimedRun R;
+  R.Stats.Completed = true;
+  R.Stats.Cycles = Cycles;
+  return R;
+}
+
+// A prefetched run whose feedback inserts nothing executes the baseline
+// module on the baseline input: it is the baseline run, executed once.
+TEST(RunMemo, PrefetchedRunInsertingNothingSharesTheBaselineRun) {
+  ChaseWorkload W;
+  ProgramCache::global().clear();
+  PipelineConfig Config;
+  Config.Obs = metricsOnly();
+  Pipeline P(W, Config);
+  const RunStats Base = P.runBaseline(DataSet::Train);
+
+  Program Prog = W.build(DataSet::Train);
+  const TimedRunResult Pf =
+      P.runPrefetched(DataSet::Train, EdgeProfile(Prog.M.Functions.size()),
+                      StrideProfile(Prog.M.NumLoadSites));
+  const PrefetchInsertionStats &I = Pf.Prefetches;
+  EXPECT_EQ(I.SsstPrefetches + I.PmstPrefetches + I.WsstPrefetches +
+                I.DependentPrefetches,
+            0u);
+  EXPECT_TRUE(Base.Completed);
+  EXPECT_EQ(Pf.Stats, Base);
+  EXPECT_FALSE(Pf.Attribution.Enabled);
+
+  const MetricsRegistry &Reg = P.obs()->registry();
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_misses"), 1u);
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_hits"), 1u);
+  // Both calls count, but the interpreter ran once.
+  EXPECT_EQ(counterValue(Reg, "pipeline.baseline_runs"), 1u);
+  EXPECT_EQ(counterValue(Reg, "pipeline.timed_runs"), 1u);
+  EXPECT_EQ(counterValue(Reg, "interp.runs"), 1u);
+  EXPECT_EQ(counterValue(Reg, "interp.instructions"), Base.Instructions);
+}
+
+// Concurrent requesters of one key wait on the first one's run instead of
+// executing it again, and all get its result.
+TEST(RunMemo, ConcurrentRequestersShareOneExecution) {
+  RunMemo Memo;
+  const RunKey K = fakeKey(1);
+  std::atomic<int> Executions{0}, Executed{0};
+  std::vector<uint64_t> Cycles(4, 0);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != Cycles.size(); ++T)
+    Threads.emplace_back([&, T] {
+      bool Ran = false;
+      Cycles[T] = Memo.run(
+                          K,
+                          [&] {
+                            ++Executions;
+                            // Long enough for the others to find the key
+                            // in flight.
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(50));
+                            return runWithCycles(1234);
+                          },
+                          Ran)
+                      .Stats.Cycles;
+      Executed += Ran ? 1 : 0;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Executions.load(), 1);
+  EXPECT_EQ(Executed.load(), 1);
+  EXPECT_EQ(Cycles, std::vector<uint64_t>(4, 1234));
+  EXPECT_EQ(Memo.size(), 1u);
+}
+
+// The same through four engine workers running real baseline runs: one
+// execution, equal results, and the memo's counters fold to one miss and
+// three hits.
+TEST(RunMemo, FourEngineWorkersRequestingOneRunExecuteItOnce) {
+  ChaseWorkload W;
+  ProgramCache::global().clear();
+  EngineOptions Opts = withThreads(4);
+  Opts.Obs = metricsOnly();
+  ExperimentEngine Engine(Opts);
+  std::vector<RunStats> Stats(4);
+  for (size_t J = 0; J != Stats.size(); ++J)
+    Engine.addJob("baseline" + std::to_string(J), "baseline-job",
+                  [&W, &Stats, J](ObsSession *JobObs) {
+                    Stats[J] =
+                        Pipeline(W, {}, JobObs).runBaseline(DataSet::Ref);
+                  });
+  Engine.run();
+  for (const RunStats &S : Stats)
+    EXPECT_EQ(S, Stats[0]);
+  EXPECT_TRUE(Stats[0].Completed);
+  const MetricsRegistry &Reg = Engine.obs()->registry();
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_misses"), 1u);
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_hits"), 3u);
+}
+
+// A run that throws reaches every requester waiting on it and is not
+// kept: the next request executes it again.
+TEST(RunMemo, ThrowingRunReachesWaitersAndIsNotKept) {
+  RunMemo Memo;
+  const RunKey K = fakeKey(2);
+  std::atomic<int> Executions{0}, Thrown{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&] {
+      bool Ran = false;
+      try {
+        Memo.run(
+            K,
+            [&]() -> TimedRun {
+              ++Executions;
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              throw std::runtime_error("run failed");
+            },
+            Ran);
+      } catch (const std::runtime_error &E) {
+        EXPECT_STREQ(E.what(), "run failed");
+        ++Thrown;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Thrown.load(), 4);
+  // A requester arriving after the failure executes (and fails) anew.
+  EXPECT_GE(Executions.load(), 1);
+  EXPECT_LE(Executions.load(), 4);
+  EXPECT_EQ(Memo.size(), 0u);
+
+  bool Ran = false;
+  EXPECT_EQ(Memo.run(K, [] { return runWithCycles(7); }, Ran).Stats.Cycles,
+            7u);
+  EXPECT_TRUE(Ran);
+  EXPECT_EQ(Memo.run(K, [] { return runWithCycles(8); }, Ran).Stats.Cycles,
+            7u);
+  EXPECT_FALSE(Ran);
+}
+
+// ProgramCache::clear() is the cold-start reset: no run survives it.
+TEST(RunMemo, DroppedByProgramCacheClear) {
+  RunMemo Memo;
+  const RunKey K = fakeKey(3);
+  bool Ran = false;
+  Memo.run(K, [] { return runWithCycles(1); }, Ran);
+  EXPECT_TRUE(Ran);
+  Memo.run(K, [] { return runWithCycles(2); }, Ran);
+  EXPECT_FALSE(Ran);
+
+  ProgramCache::global().clear();
+  EXPECT_EQ(Memo.run(K, [] { return runWithCycles(3); }, Ran).Stats.Cycles,
+            3u);
+  EXPECT_TRUE(Ran);
+  EXPECT_EQ(Memo.size(), 1u);
+}
+
+// Completed entries beyond the bound drop oldest first.
+TEST(RunMemo, StaysBounded) {
+  RunMemo Memo;
+  bool Ran = false;
+  for (uint64_t Tag = 0; Tag != 1100; ++Tag)
+    Memo.run(fakeKey(Tag), [] { return runWithCycles(1); }, Ran);
+  EXPECT_EQ(Memo.size(), 1024u);
+  Memo.run(fakeKey(1099), [] { return runWithCycles(1); }, Ran);
+  EXPECT_FALSE(Ran);
+  Memo.run(fakeKey(0), [] { return runWithCycles(1); }, Ran);
+  EXPECT_TRUE(Ran);
+}
+
+// The key compares the timing, interpreter and memory configs by value:
+// a different nested memory-system field, or the other execution engine,
+// is a miss, so differential engine tests still execute both engines.
+TEST(RunMemo, MissesOnNestedMemoryFieldAndEngine) {
+  ChaseWorkload W;
+  ProgramCache::global().clear();
+  PipelineConfig HitLatency;
+  HitLatency.Memory.Levels[1].HitLatency += 1;
+  PipelineConfig Reference;
+  Reference.Interp.Exec = InterpreterConfig::Engine::Reference;
+  PipelineConfig Attributed;
+  Attributed.Memory.EnableAttribution = true;
+
+  PipelineConfig Default;
+
+  ObsSession Session(metricsOnly());
+  std::vector<RunStats> Stats;
+  for (const PipelineConfig *C :
+       {&HitLatency, &Reference, &Attributed, &Default})
+    Stats.push_back(Pipeline(W, *C, &Session).runBaseline(DataSet::Train));
+  const MetricsRegistry &Reg = Session.registry();
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_misses"), 4u);
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_hits"), 0u);
+  EXPECT_EQ(counterValue(Reg, "interp.runs"), 4u);
+  // Both engines ran, and agree.
+  EXPECT_EQ(Stats[1], Stats[3]);
+
+  Pipeline(W, Reference, &Session).runBaseline(DataSet::Train);
+  EXPECT_EQ(counterValue(Reg, "engine.run_memo_hits"), 1u);
+}
+
+// On a suite whose prefetched runs share modules, the memo's counters are
+// deterministic (misses are the distinct runs), and every folded job
+// counter is the same at one thread and at four, whichever job executed
+// a shared run.
+TEST(RunMemo, FoldedCountersIdenticalAcrossThreadCounts) {
+  ChaseWorkload W;
+  auto Fold = [&W](unsigned Threads) {
+    ProgramCache::global().clear();
+    EngineOptions Opts = withThreads(Threads);
+    Opts.Obs = metricsOnly();
+    ExperimentEngine Engine(Opts);
+    const std::string Suite = suiteJson(measureSuite(Engine, {&W}));
+    std::vector<std::pair<std::string, uint64_t>> Counters;
+    std::vector<std::pair<std::string, double>> Gauges;
+    Engine.obs()->registry().snapshotScalars(Counters, Gauges);
+    // Scheduler wakeups depend on worker interleaving.
+    Counters.erase(std::remove_if(Counters.begin(), Counters.end(),
+                                  [](const auto &KV) {
+                                    return KV.first.rfind("engine.sched.",
+                                                          0) == 0;
+                                  }),
+                   Counters.end());
+    return std::make_pair(Suite, Counters);
+  };
+  const auto Serial = Fold(1);
+  auto Value = [&Serial](const std::string &Name) {
+    for (const auto &[K, V] : Serial.second)
+      if (K == Name)
+        return V;
+    return uint64_t{0};
+  };
+  EXPECT_GT(Value("engine.run_memo_hits"), 0u);
+  EXPECT_GT(Value("engine.run_memo_misses"), 0u);
+  EXPECT_EQ(Value("engine.run_memo_hits") + Value("engine.run_memo_misses"),
+            Value("pipeline.baseline_runs") + Value("pipeline.timed_runs"));
+  EXPECT_EQ(Fold(4), Serial);
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -416,6 +417,40 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::parse("[1, 2", Out));
   EXPECT_FALSE(JsonValue::parse("{\"a\": 1} trailing", Out));
   EXPECT_TRUE(JsonValue::parse("  [1, 2, 3]  ", Out));
+}
+
+// A number the parser cannot hold is an error, not a changed value:
+// overflowing doubles would read as infinity (written back as null) and
+// overflowing integers would clamp. The extremes of int64 and uint64
+// (stored as its negative int64 pattern) still round-trip, and so do
+// doubles at the ends of their range.
+TEST(ObsJson, ParserRejectsOutOfRangeNumbers) {
+  JsonValue Out;
+  for (const char *Text :
+       {"1e999", "-1e999", "[1.5e308, 1e309]", "123456789012345678901234567890",
+        "-123456789012345678901234567890", "9223372036854775808",
+        "-9223372036854775809", "{\"n\": 18446744073709551615}"}) {
+    SCOPED_TRACE(Text);
+    std::string Error;
+    EXPECT_FALSE(JsonValue::parse(Text, Out, &Error));
+    EXPECT_NE(Error.find("out of range"), std::string::npos) << Error;
+  }
+
+  JsonValue Root = JsonValue::object();
+  Root.set("max", std::numeric_limits<int64_t>::max());
+  Root.set("min", std::numeric_limits<int64_t>::min());
+  Root.set("umax", std::numeric_limits<uint64_t>::max());
+  Root.set("dmax", std::numeric_limits<double>::max());
+  Root.set("dmin", std::numeric_limits<double>::denorm_min());
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(Root.str(), Out, &Error)) << Error;
+  EXPECT_EQ(Out.get("max")->asInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Out.get("min")->asInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Out.get("umax")->asUInt(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(Out.get("dmax")->asDouble(), std::numeric_limits<double>::max());
+  EXPECT_EQ(Out.get("dmin")->asDouble(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(Out.str(), Root.str());
 }
 
 // Seeded mutation test of the JSON reader, which loads every document

@@ -599,6 +599,77 @@ TEST(TraceFile, DamagedTrailerCountsFailWithoutAllocating) {
   }
 }
 
+// The edge section's function count sizes the replayed EdgeProfile, so
+// both readers reject a count above MaxShapeCount as corrupt, and the text
+// reader takes digits only ("edges -1" must not wrap to 2^32-1).
+TEST(TraceFile, EdgeSectionFunctionCountIsBounded) {
+  auto Encode = [](bool Text) {
+    std::stringstream SS;
+    TraceWriter W(SS, 1, {}, Text, /*IndexInterval=*/0);
+    TraceEdgeSection S;
+    S.Present = true;
+    S.NumFunctions = 3;
+    W.setEdgeSection(S);
+    W.finish();
+    EXPECT_TRUE(W.ok()) << W.error();
+    return SS.str();
+  };
+  auto ReadError = [](const std::string &Data) {
+    std::istringstream IS(Data);
+    TraceReader R(IS);
+    drainAll(R);
+    return R.errorCode();
+  };
+
+  // Binary: [edges tag 1, 3 functions, 0 entries, 0 edges] with the
+  // count rewritten to a varint.
+  const std::string Binary = Encode(false);
+  const size_t At = Binary.rfind(std::string("\x01\x03\x00\x00", 4));
+  ASSERT_NE(At, std::string::npos);
+  EXPECT_EQ(ReadError(Binary), TraceError::None);
+  auto WithCount = [&](const std::string &Varint) {
+    std::string D = Binary;
+    D.replace(At + 1, 1, Varint);
+    return D;
+  };
+  EXPECT_EQ(ReadError(WithCount("\x80\x80\x40")), TraceError::None); // 2^20
+  EXPECT_EQ(ReadError(WithCount("\x81\x80\x40")), TraceError::Corrupt);
+  EXPECT_EQ(ReadError(WithCount("\x80\xd0\xac\xf3\x0e")), // 4e9
+            TraceError::Corrupt);
+
+  // Text: the "edges 3" line rewritten.
+  const std::string Text = Encode(true);
+  const size_t Line = Text.find("\nedges 3\n");
+  ASSERT_NE(Line, std::string::npos);
+  EXPECT_EQ(ReadError(Text), TraceError::None);
+  for (const char *Count : {"1048577", "4000000000", "-1", "+3", "3x", "",
+                            "99999999999999999999999"}) {
+    SCOPED_TRACE(Count);
+    std::string D = Text;
+    D.replace(Line + 7, 1, Count);
+    EXPECT_EQ(ReadError(D), TraceError::Corrupt);
+  }
+  std::string D = Text;
+  D.replace(Line + 7, 1, "1048576");
+  EXPECT_EQ(ReadError(D), TraceError::None);
+
+  // Replay of such a file fails with the reader's code instead of sizing
+  // an edge profile by the count.
+  const std::string Path = tmpPath("huge_edges.sprof.trace");
+  D = Text;
+  D.replace(Line + 7, 1, "4000000000");
+  {
+    std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+    OS << D;
+  }
+  TraceReplayOptions Opts;
+  Opts.EvaluateWorkload = false;
+  TraceReplayResult R = replayTraceFile(Path, Opts);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.ErrorCode, TraceError::Corrupt) << R.Error;
+  std::remove(Path.c_str());
+}
+
 // Seeded mutation test of the trace reader over every container form:
 // binary /1, binary /2 read sequentially, /2 opened through
 // openFileIndexed with every chunk decoded by openShard, and text. Each
@@ -743,9 +814,74 @@ TEST(TraceFile, ImportAccessLogRoundTrip) {
   std::istringstream BadKind("0x10, 0, L\n0x20, 1, X\n");
   EXPECT_FALSE(importAccessLog(BadKind, tmpPath("bad.sprof.trace"), &Err));
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+  // A leading zero is decimal, not octal.
+  std::istringstream Decimal("010, 0, L\n0xFFFFFFFFFFFFFFFF, 7, P\n");
+  ASSERT_TRUE(importAccessLog(Decimal, Path, &Err)) << Err;
+  R = TraceReader::openFile(Path);
+  const std::vector<AccessEvent> Parsed = drainAll(*R);
+  ASSERT_EQ(Parsed.size(), 2u);
+  EXPECT_EQ(Parsed[0].Address, 10u);
+  EXPECT_EQ(Parsed[1].Address, ~uint64_t{0});
+  std::remove(Path.c_str());
+
   std::istringstream BadShape("0x10\n");
   EXPECT_FALSE(importAccessLog(BadShape, tmpPath("bad.sprof.trace"), &Err));
   EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
+}
+
+// Seeded mutation test of the access-log importer (sprof-inspect import):
+// every mutant of a log must import or fail with a diagnostic, and an
+// import must write a trace that reads back with its event count.
+TEST(TraceFile, MutatedAccessLogsImportOrFailCleanly) {
+  const std::vector<std::string> Seeds = {
+      "# cacheSight-style access log\n"
+      "0x1000, 0, L\n"
+      " 0x1040 ,0, load\n"
+      "4242, 3, P\n"
+      "\n"
+      "0x1080, 0, l\n"
+      "0x7fffffffffffffff, 12, prefetch\n",
+      "1,1,L\n2,2,P\n0X3,4294967294,LOAD\n"};
+  static constexpr char Syntax[] = "0123456789abcdefxX,#LlPp \t\r\n-+";
+  const std::string Path = tmpPath("mutant-import.sprof.trace");
+  // The site count is the highest id plus one, so the largest 32-bit id
+  // has no count to go with it.
+  // Signs and values past 64 bits are rejected, not wrapped or clamped.
+  for (const char *Bad :
+       {"0x10, 4294967295, L\n", "0x10, -1, L\n",
+        "0x10, -18446744073709551615, L\n", "-1, 0, L\n", "+16, 0, L\n",
+        "0x10000000000000000, 0, L\n", "18446744073709551616, 0, L\n",
+        "0x-1, 0, L\n", "0x0x10, 0, L\n", "0x, 0, L\n", "16, 0x1, L\n"}) {
+    SCOPED_TRACE(Bad);
+    std::istringstream Log(Bad);
+    std::string Err;
+    EXPECT_FALSE(importAccessLog(Log, Path, &Err));
+    EXPECT_NE(Err.find("line 1: bad"), std::string::npos) << Err;
+  }
+
+  unsigned Imported = 0, Rejected = 0;
+  test::forEachMutant(
+      Seeds, {Syntax, sizeof(Syntax) - 1}, 0x1d9a11ULL,
+      [&](const std::string &Mutant, const char *Kind) {
+        std::istringstream Log(Mutant);
+        std::string Err;
+        std::optional<TraceImportResult> Res =
+            importAccessLog(Log, Path, &Err);
+        if (!Res) {
+          ++Rejected;
+          EXPECT_FALSE(Err.empty()) << Kind << " mutant";
+          return;
+        }
+        ++Imported;
+        EXPECT_EQ(Res->Loads + Res->Prefetches, Res->Events);
+        auto R = TraceReader::openFile(Path);
+        const std::vector<AccessEvent> Events = drainAll(*R);
+        EXPECT_TRUE(R->ok()) << Kind << " mutant: " << R->error();
+        EXPECT_EQ(Events.size(), Res->Events) << Kind << " mutant";
+      });
+  std::remove(Path.c_str());
+  EXPECT_GT(Imported, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 TEST(TraceReplay, ReadErrorsSurfaceThroughTheResult) {
